@@ -11,8 +11,6 @@ Usage (also available as ``python -m repro.cli``)::
     repro experiment fig2 --horizon 2000      # regenerate a paper figure
     repro resilience --dc 1 --start 150 --duration 60   # outage drill
     repro chaos --fail-rate 0.15 --horizon 300          # solver-fault drill
-    repro shard --shards 3 --scenario wide --verify assert   # sharded run
-    repro shard --drill kill --drill-slot 40             # worker-kill drill
     repro profile --scenario default --horizon 200      # hot-path table
     repro serve --scenario small --slot-seconds 1       # live gateway
     repro serve --scenario small --resume               # restart after a kill
@@ -436,130 +434,6 @@ def _cmd_chaos(args) -> int:
     return 0
 
 
-def _shard_scenario(args):
-    from repro.scenarios import small_scenario, wide_scenario
-
-    if args.scenario == "small":
-        return small_scenario(horizon=args.horizon, seed=args.seed)
-    if args.scenario == "wide":
-        return wide_scenario(
-            horizon=args.horizon, seed=args.seed, num_datacenters=args.dcs
-        )
-    return paper_scenario(horizon=args.horizon, seed=args.seed)
-
-
-def _cmd_shard(args) -> int:
-    """Sharded scatter-gather run, or a worker-fault drill (--drill).
-
-    Without ``--drill``: runs the scenario on a
-    :class:`~repro.distrib.ShardController` (``docs/DISTRIBUTED.md``),
-    optionally verifying against the serial solve every slot, with the
-    same crash-safety flags as ``repro run`` (``--checkpoint-every`` /
-    ``--kill-at`` / ``--resume``; a killed run exits 3).  With
-    ``--drill kill|hang|straggle|slow-start``: injects one process
-    fault into a shard worker mid-run and exits non-zero unless the run
-    survives — completes every slot with a recorded incident.
-    """
-    from repro.distrib import (
-        ShardController,
-        ShardDivergenceError,
-        ShardPolicy,
-        run_shard_drill,
-    )
-    from repro.resilient import Checkpointer
-
-    verify = None if args.verify == "none" else args.verify
-    try:
-        policy = ShardPolicy(
-            deadline=args.deadline,
-            spawn_timeout=args.deadline,
-            retries=args.retries,
-            max_respawns=args.max_respawns,
-            fallback=args.fallback,
-            checkpoint_every=args.checkpoint_every,
-        )
-        scenario = _shard_scenario(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    if args.drill is not None:
-        try:
-            report = run_shard_drill(
-                scenario,
-                num_shards=args.shards,
-                v=args.v,
-                beta=args.beta,
-                kind=args.drill,
-                shard=args.drill_shard,
-                slot=args.drill_slot,
-                policy=policy if args.deadline is not None else None,
-                verify=verify,
-            )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(report.render())
-        if not report.survived:
-            print("error: shard drill did not survive", file=sys.stderr)
-            return 1
-        return 0
-
-    controller = ShardController(
-        scenario.cluster,
-        num_shards=args.shards,
-        v=args.v,
-        beta=args.beta,
-        policy=policy,
-        verify=verify,
-    )
-    checkpointer = None
-    if args.checkpoint_every is not None or args.resume or args.kill_at is not None:
-        key = (
-            f"shard-{args.scenario}-d{args.dcs}-s{args.shards}"
-            f"-h{args.horizon}-r{args.seed}-v{args.v:g}-b{args.beta:g}"
-        )
-        checkpointer = Checkpointer(
-            key, every=args.checkpoint_every, kill_at=args.kill_at
-        )
-    try:
-        result = Simulator(scenario, controller, validate=True).run(
-            args.horizon, checkpointer=checkpointer, resume=args.resume
-        )
-    except SimulationKilled as exc:
-        print(f"{exc}", file=sys.stderr)
-        print("resume with the same command plus --resume", file=sys.stderr)
-        return 3
-    except ShardDivergenceError as exc:
-        print(f"error: sharded solve diverged from serial: {exc}", file=sys.stderr)
-        return 1
-    finally:
-        controller.shutdown()
-    if args.json:
-        import json
-
-        print(json.dumps(result.summary.as_dict(), sort_keys=True))
-        return 0
-    print(
-        format_table(
-            _SUMMARY_HEADERS,
-            [_summary_row(result.summary)],
-            precision=4,
-            title=f"{args.horizon}-slot sharded run "
-            f"({controller.num_shards} shards, seed {args.seed})",
-        )
-    )
-    print(
-        f"shards: {controller.slots_completed} slots, "
-        f"{controller.incident_count} incident(s), "
-        f"{controller.fallback_slots} fallback slot(s)"
-    )
-    if verify is not None and controller.divergence:
-        worst = max(gap for _, gap, _ in controller.divergence)
-        print(f"verify: max objective gap {worst:.3g} over serial")
-    return 0
-
-
 def _cmd_cache(args) -> int:
     """Inspect or clear the on-disk result cache."""
     cache = default_cache()
@@ -854,81 +728,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--horizon", type=int, default=300)
     chaos.add_argument("--seed", type=int, default=0)
 
-    shard = sub.add_parser(
-        "shard", help="sharded scatter-gather run / worker-fault drill"
-    )
-    shard.add_argument(
-        "--scenario", choices=("paper", "small", "wide"), default="wide"
-    )
-    shard.add_argument(
-        "--dcs",
-        type=int,
-        default=6,
-        help="data centers in the wide scenario (ignored otherwise)",
-    )
-    shard.add_argument(
-        "--shards", type=int, default=2, help="shard worker processes"
-    )
-    shard.add_argument("--v", type=float, default=7.5)
-    shard.add_argument("--beta", type=float, default=0.0)
-    shard.add_argument("--horizon", type=int, default=120)
-    shard.add_argument("--seed", type=int, default=0)
-    shard.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-slot gather deadline (default: block until every "
-        "shard answers or crashes)",
-    )
-    shard.add_argument(
-        "--retries",
-        type=int,
-        default=1,
-        help="re-scatter attempts per shard per slot after a failure",
-    )
-    shard.add_argument(
-        "--max-respawns",
-        type=int,
-        default=2,
-        help="worker respawn budget per shard before permanent degradation",
-    )
-    shard.add_argument(
-        "--fallback",
-        choices=("greedy", "hold", "zero"),
-        default="greedy",
-        help="degraded-mode action for a shard that cannot serve a slot",
-    )
-    shard.add_argument(
-        "--verify",
-        choices=("none", "record", "assert"),
-        default="none",
-        help="check every slot against the serial solve (bit-identity "
-        "for beta=0, objective-gap bound otherwise)",
-    )
-    shard.add_argument(
-        "--drill",
-        choices=("kill", "hang", "straggle", "slow-start"),
-        default=None,
-        help="inject one process fault into a shard worker and require "
-        "survival",
-    )
-    shard.add_argument(
-        "--drill-slot",
-        type=int,
-        default=None,
-        help="slot the drill fault fires on (default: a third into the run)",
-    )
-    shard.add_argument(
-        "--drill-shard", type=int, default=0, help="shard the drill targets"
-    )
-    shard.add_argument(
-        "--json",
-        action="store_true",
-        help="print the summary as one JSON line (machine-comparable)",
-    )
-    _add_checkpoint_flags(shard)
-
     serve = sub.add_parser(
         "serve", help="run the live job-submission gateway (docs/SERVICE.md)"
     )
@@ -1035,7 +834,6 @@ _COMMANDS = {
     "sweep-v": _cmd_sweep_v,
     "resilience": _cmd_resilience,
     "chaos": _cmd_chaos,
-    "shard": _cmd_shard,
     "profile": _cmd_profile,
     "serve": _cmd_serve,
     "experiment": _cmd_experiment,

@@ -10,12 +10,8 @@ price feeds and network partitions are all representable:
 >>> injector = FaultInjector(scenario.cluster, schedule)
 >>> result = Simulator(scenario, scheduler, injector=injector).run()
 
-Process-level faults (:mod:`repro.faults.process`) model failures of
-the simulator's own shard workers — kill, hang, straggle, slow start —
-and are applied by :mod:`repro.distrib` for chaos drills.
-
 See ``docs/RESILIENCE.md`` for the fault model and degraded-mode
-semantics, and ``docs/DISTRIBUTED.md`` for the process-fault drills.
+semantics.
 """
 
 from repro.faults.events import (
@@ -25,11 +21,6 @@ from repro.faults.events import (
     RandomFaultProcess,
 )
 from repro.faults.injector import FaultInjector, RequeuePolicy
-from repro.faults.process import (
-    PROCESS_FAULT_KINDS,
-    ProcessFaultEvent,
-    ProcessFaultSchedule,
-)
 from repro.faults.resilience import FaultImpact, ResilienceObserver, ResilienceReport
 
 __all__ = [
@@ -38,9 +29,6 @@ __all__ = [
     "FaultImpact",
     "FaultInjector",
     "FaultSchedule",
-    "PROCESS_FAULT_KINDS",
-    "ProcessFaultEvent",
-    "ProcessFaultSchedule",
     "RandomFaultProcess",
     "RequeuePolicy",
     "ResilienceObserver",

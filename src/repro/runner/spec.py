@@ -35,7 +35,6 @@ __all__ = ["SCENARIO_KINDS", "RunSpec", "ScenarioSpec", "canonical_json", "spec_
 SCENARIO_KINDS: dict = {
     "paper": ("repro.scenarios", "paper_scenario"),
     "small": ("repro.scenarios", "small_scenario"),
-    "wide": ("repro.scenarios", "wide_scenario"),
 }
 
 
@@ -77,8 +76,7 @@ class ScenarioSpec:
     Parameters
     ----------
     kind:
-        One of :data:`SCENARIO_KINDS` (``"paper"``, ``"small"`` or
-        ``"wide"``).
+        One of :data:`SCENARIO_KINDS` (``"paper"`` or ``"small"``).
     horizon:
         Number of slots to generate.
     seed:

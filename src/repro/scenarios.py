@@ -28,8 +28,6 @@ __all__ = [
     "paper_scenario",
     "small_cluster",
     "small_scenario",
-    "wide_cluster",
-    "wide_scenario",
 ]
 
 #: Table I average electricity prices for DC #1-#3.
@@ -152,77 +150,6 @@ def paper_scenario(
         mean_reversion=0.2,
         correlation=0.4,
         floor=0.02,
-    )
-    return Scenario.generate(
-        cluster,
-        horizon=horizon,
-        seed=seed,
-        workload=workload,
-        price_model=price_model,
-        availability_model=availability_model,
-    )
-
-
-def wide_cluster(num_datacenters: int = 6, servers_per_site: int = 60) -> Cluster:
-    """A many-site cluster for sharded-execution tests and benchmarks.
-
-    Cycles the Table I server types and price tiers across
-    *num_datacenters* sites, with the four paper organizations and one
-    job type per organization eligible everywhere.  The point is width
-    (many sites to partition into shards), not fidelity to the paper's
-    three-site setup — use :func:`paper_cluster` for that.
-    """
-    if num_datacenters < 2:
-        raise ValueError("wide_cluster needs at least 2 data centers")
-    classes = tuple(
-        ServerClass(name=f"gen{i + 1}", speed=s, active_power=p)
-        for i, (s, p) in enumerate(PAPER_SERVERS)
-    )
-    k = len(classes)
-    datacenters = tuple(
-        DataCenter(
-            name=f"dc{i + 1}",
-            max_servers=[servers_per_site if kk == i % k else 0 for kk in range(k)],
-            location=f"region-{i + 1}",
-        )
-        for i in range(num_datacenters)
-    )
-    accounts = tuple(
-        Account(name=f"org{m + 1}", fair_share=share)
-        for m, share in enumerate(PAPER_FAIR_SHARES)
-    )
-    job_types = tuple(
-        JobType(
-            name=f"org{m + 1}-wide",
-            demand=1.5 + 0.5 * m,
-            eligible_dcs=range(num_datacenters),
-            account=m,
-            max_arrivals=200,
-            max_route=200,
-            max_service=200.0,
-        )
-        for m in range(len(accounts))
-    )
-    return Cluster(classes, datacenters, job_types, accounts)
-
-
-def wide_scenario(
-    horizon: int = 200,
-    seed: int = 0,
-    num_datacenters: int = 6,
-    mean_total_work: float = 60.0,
-) -> Scenario:
-    """A multi-DC scenario on :func:`wide_cluster` for shard drills."""
-    cluster = wide_cluster(num_datacenters=num_datacenters)
-    availability_model = AvailabilityModel(cluster, floor_fraction=0.8)
-    workload = CosmosWorkload(
-        cluster,
-        mean_total_work=mean_total_work,
-        max_total_work=0.9 * availability_model.min_capacity(),
-    )
-    price_model = PriceModel(
-        [PAPER_PRICE_MEANS[i % len(PAPER_PRICE_MEANS)] for i in range(num_datacenters)],
-        correlation=0.3,
     )
     return Scenario.generate(
         cluster,

@@ -747,30 +747,28 @@ class TickPathBlockingRule(Rule):
 # GF013 — process-spawn routing
 # ----------------------------------------------------------------------
 class ProcessSpawnRule(Rule):
-    """Process spawning lives in ``runner/`` and ``distrib/`` only.
+    """Process spawning lives in ``runner/`` only.
 
-    Those two packages are the supervised fan-out surfaces: the run
-    engine (``BrokenProcessPool`` hardening, per-spec seeding, caching)
-    and the shard controller (heartbeats, deadlines, respawn budgets,
-    checkpoint re-sync, guaranteed teardown).  A ``subprocess.run`` or
+    The run engine is the one supervised fan-out surface: it fans
+    independent runs across a process pool with ``BrokenProcessPool``
+    hardening, per-spec seeding and caching.  A ``subprocess.run`` or
     ``multiprocessing.Process`` anywhere else is an unsupervised child
-    that leaks on crash, dodges the chaos drills, and breaks the
-    determinism story (a spawn mid-simulation is wall-clock state).
-    The whole ``multiprocessing.*``/``subprocess.*`` surfaces are
-    banned outside the exempt packages — not only the literal spawn
-    calls — so helper entry points cannot creep in around the rule.
+    that leaks on crash and breaks the determinism story (a spawn
+    mid-simulation is wall-clock state).  The whole
+    ``multiprocessing.*``/``subprocess.*`` surfaces are banned outside
+    the exempt package — not only the literal spawn calls — so helper
+    entry points cannot creep in around the rule.
     """
 
     id = "GF013"
-    title = "process spawning only in runner/ and distrib/"
+    title = "process spawning only in runner/"
     rationale = (
-        "child processes outside the run engine and the shard "
-        "controller have no supervision — no respawn budget, no "
-        "checkpoint re-sync, no teardown guarantee — and their spawns "
-        "make simulation code wall-clock dependent."
+        "child processes outside the run engine have no supervision — "
+        "no pool-death recovery, no teardown guarantee — and their "
+        "spawns make simulation code wall-clock dependent."
     )
 
-    _ALLOWED = ("runner/", "distrib/")
+    _ALLOWED = ("runner/",)
     _SPAWN_EXACT = frozenset(
         {
             "concurrent.futures.ProcessPoolExecutor",
@@ -804,10 +802,9 @@ class ProcessSpawnRule(Rule):
                 yield (
                     node,
                     f"process-spawning call {canonical}() outside "
-                    "repro/runner and repro/distrib; route process fan-out "
-                    "through the run engine or the shard controller so "
-                    "supervision, checkpoint re-sync and teardown stay on "
-                    "the tested paths",
+                    "repro/runner; route process fan-out through the run "
+                    "engine (run_many) so pool-death recovery and teardown "
+                    "stay on the tested path",
                 )
 
 

@@ -1,4 +1,4 @@
-"""Deliberately-bad fixture for GF013: process spawning outside runner//distrib/."""
+"""Deliberately-bad fixture for GF013: process spawning outside runner/."""
 
 import subprocess
 from concurrent.futures import ProcessPoolExecutor

@@ -1,4 +1,4 @@
-"""Clean fixture for GF013: threads are fine anywhere; processes are not spawned."""
+"""Clean fixture for GF013: threads are fine anywhere; processes spawn only in runner/."""
 
 from concurrent.futures import ThreadPoolExecutor
 

@@ -83,12 +83,16 @@ def test_spec_rejects_unknown_scheduler_and_kwargs():
         RunSpec(scheduler="nope")
     with pytest.raises(ValueError, match="does not accept"):
         RunSpec(scheduler="always", scheduler_kwargs={"v": 1.0})
-    with pytest.raises(ValueError, match="unknown scenario kind"):
-        ScenarioSpec(kind="nope")
     with pytest.raises(ValueError, match="unknown collector"):
         RunSpec(collect=("no_such_series",))
     with pytest.raises(ValueError, match="scenario-only"):
         RunSpec(scheduler=None, collect=("energy_series",))
+
+
+@pytest.mark.parametrize("kind", ["nope", "wide"])
+def test_spec_rejects_unknown_scenario_kind(kind):
+    with pytest.raises(ValueError, match="unknown scenario kind"):
+        ScenarioSpec(kind=kind)
 
 
 def test_registry_round_trip(tiny_cluster):

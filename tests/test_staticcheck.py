@@ -126,6 +126,17 @@ def test_src_repro_is_clean():
     assert findings == [], "\n" + render_text(findings)
 
 
+def test_gf013_exempts_only_runner(tmp_path):
+    source = (FIXTURES / "gf013_bad.py").read_text()
+    counts = {}
+    for package in ("runner", "distrib"):
+        target = tmp_path / "repro" / package / "x.py"
+        target.parent.mkdir(parents=True)
+        target.write_text(source)
+        counts[package] = len(check_file(target, select=["GF013"]))
+    assert counts == {"runner": 0, "distrib": 3}
+
+
 def test_iter_python_files_skips_pycache(tmp_path):
     (tmp_path / "pkg").mkdir()
     (tmp_path / "pkg" / "ok.py").write_text("x = 1\n")
