@@ -10,13 +10,7 @@ import numpy as np
 import pytest
 
 from repro.model.state import ClusterState
-from repro.optimize import (
-    SlotServiceProblem,
-    solve_greedy,
-    solve_lp,
-    solve_projected_gradient,
-    solve_qp,
-)
+from repro.optimize import SlotServiceProblem, solve_greedy, solve_lp, solve_qp
 from repro.scenarios import paper_cluster
 
 
@@ -64,11 +58,6 @@ def test_lp_slot_solver(benchmark, problem):
 def test_qp_slot_solver_beta(benchmark, fair_problem):
     h = benchmark(solve_qp, fair_problem)
     assert fair_problem.is_feasible(h, tol=1e-5)
-
-
-def test_projected_gradient_slot_solver(benchmark, problem):
-    h = benchmark(solve_projected_gradient, problem)
-    assert problem.is_feasible(h, tol=1e-5)
 
 
 def test_greedy_faster_than_lp(problem, benchmark):

@@ -5,8 +5,8 @@ Energy and Fairness in Geographically Distributed Data Centers*
 The package provides:
 
 * :class:`GreFarScheduler` — the paper's online drift-plus-penalty
-  scheduler (Algorithm 1), with exact greedy, LP, QP and
-  projected-gradient slot backends;
+  scheduler (Algorithm 1), with exact greedy and LP slot backends and
+  a Frank-Wolfe QP backend for the fairness-aware (beta > 0) slots;
 * the full system model of Section III (clusters, server classes, job
   types, exact queue dynamics with per-job delay ledgers);
 * fairness functions (the paper's quadratic score plus alternates);

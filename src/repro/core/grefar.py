@@ -48,7 +48,7 @@ __all__ = ["GreFarScheduler"]
 
 #: User-selectable per-slot backends (the supervisor's terminal "zero"
 #: fallback is not a scheduler choice).
-_SOLVER_NAMES = ("greedy", "lp", "qp", "projected_gradient")
+_SOLVER_NAMES = ("greedy", "lp", "qp")
 
 
 class GreFarScheduler(Scheduler):
@@ -67,8 +67,7 @@ class GreFarScheduler(Scheduler):
         Fairness function; defaults to the paper's quadratic (eq. 3).
     solver:
         Per-slot service backend: ``"auto"`` (greedy when ``beta == 0``,
-        QP otherwise), ``"greedy"``, ``"lp"``, ``"qp"`` or
-        ``"projected_gradient"``.
+        QP otherwise), ``"greedy"``, ``"lp"`` or ``"qp"``.
     physical:
         If True (default), never overdraw queues: routing is capped by
         central queue content and service by site queue content.  If
@@ -209,19 +208,20 @@ class GreFarScheduler(Scheduler):
         if not reg.enabled:
             return self.supervisor.solve(problem, primary=name, slot=t).h
         # Instrumented path: time the solve, count the backend taken and
-        # leave a per-decision record (solver, objective, iterations) for
-        # the simulator to fold into this slot's trace event.  None of
-        # this touches the decision itself.
+        # leave a per-decision record (solver, objective, iterations,
+        # gap) for the simulator to fold into this slot's trace event.
+        # None of this touches the decision itself.
         start = reg.clock()
         outcome = self.supervisor.solve(problem, primary=name, slot=t)
         h = outcome.h
         elapsed = reg.clock() - start
-        iterations = int(reg.consume_solve().get("iterations", 0))
+        noted = reg.consume_solve()
         reg.counter_add(f"grefar.solver.{outcome.backend}")
         reg.timer_add("grefar.solve", elapsed)
         reg.note_solve(
             solver=outcome.backend,
-            iterations=iterations,
+            iterations=int(noted.get("iterations", 0)),
+            gap=float(noted.get("gap", 0.0)),
             objective=float(problem.objective(h)),
             solve_seconds=elapsed,
         )

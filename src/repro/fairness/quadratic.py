@@ -42,13 +42,3 @@ class QuadraticFairness(FairnessFunction):
         alloc, total, sh = self._check(allocation, total_resource, shares)
         dev = alloc / total - sh
         return -2.0 * dev / total
-
-    def hessian_diagonal(self, total_resource: float, num_accounts: int) -> np.ndarray:
-        """Diagonal of the (constant) Hessian: ``-2 / R(t)^2`` per account.
-
-        Exposed because the quadratic-programming solver exploits the
-        closed form of this fairness function.
-        """
-        if total_resource <= 0:
-            raise ValueError(f"total_resource must be positive, got {total_resource}")
-        return np.full(num_accounts, -2.0 / total_resource**2)

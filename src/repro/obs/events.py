@@ -33,10 +33,13 @@ class SlotTraceEvent:
         slot's dynamics (jobs).
     solver:
         Service backend that produced the decision (``"greedy"``,
-        ``"lp"``, ``"qp"``, ``"projected_gradient"``; empty for
-        schedulers that do not solve the slot problem).
+        ``"lp"``, ``"qp"``; empty for schedulers that do not solve the
+        slot problem).
     iterations:
         Solver-reported iteration count (0 for closed-form backends).
+    gap:
+        Solver-certified bound on the objective's distance from the
+        slot optimum (the ``qp`` Frank-Wolfe gap; 0 for exact backends).
     objective:
         The slot objective (14) evaluated at the applied service matrix.
     solve_seconds:
@@ -56,6 +59,7 @@ class SlotTraceEvent:
     dc_backlog: float
     solver: str = ""
     iterations: int = 0
+    gap: float = 0.0
     objective: float = 0.0
     solve_seconds: float = 0.0
     energy_cost: float = 0.0
@@ -74,6 +78,7 @@ class SlotTraceEvent:
             dc_backlog=float(payload["dc_backlog"]),
             solver=str(payload.get("solver", "")),
             iterations=int(payload.get("iterations", 0)),
+            gap=float(payload.get("gap", 0.0)),
             objective=float(payload.get("objective", 0.0)),
             solve_seconds=float(payload.get("solve_seconds", 0.0)),
             energy_cost=float(payload.get("energy_cost", 0.0)),

@@ -2,8 +2,8 @@
 
 * :func:`solve_greedy` — exact closed-form solution for ``beta = 0``;
 * :func:`solve_lp` — scipy LP reference for ``beta = 0``;
-* :func:`solve_qp` — convex (SLSQP) solver for any ``beta >= 0``;
-* :func:`solve_projected_gradient` — dependency-light alternative.
+* :func:`solve_qp` — pairwise Frank-Wolfe over the greedy oracle for
+  any ``beta >= 0``, with a certified optimality gap.
 
 All backends consume a :class:`SlotServiceProblem` and return the
 service matrix ``h``; optimal busy counts follow from the site
@@ -49,7 +49,6 @@ class SolverFailure(RuntimeError):
 from repro.optimize.capacity import SupplyCurve, build_supply_curves  # noqa: E402
 from repro.optimize.greedy import solve_greedy  # noqa: E402
 from repro.optimize.lp import solve_lp  # noqa: E402
-from repro.optimize.projected_gradient import solve_projected_gradient  # noqa: E402
 from repro.optimize.qp import solve_qp  # noqa: E402
 from repro.optimize.slot_problem import SlotServiceProblem  # noqa: E402
 
@@ -60,6 +59,5 @@ __all__ = [
     "build_supply_curves",
     "solve_greedy",
     "solve_lp",
-    "solve_projected_gradient",
     "solve_qp",
 ]

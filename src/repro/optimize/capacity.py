@@ -100,22 +100,6 @@ class SupplyCurve:
             if c > _EPS
         ]
 
-    def subgradient(self, capacity: float) -> float:
-        """A subgradient of :meth:`min_power` at *capacity*.
-
-        Returns the marginal power of the segment in use (the last
-        segment's slope beyond total capacity, which never matters for
-        feasible loads).
-        """
-        remaining = max(capacity, 0.0)
-        last = 0.0
-        for cap, unit in zip(self.capacities, self.unit_powers):
-            last = unit
-            if remaining <= cap + _EPS:
-                return unit
-            remaining -= cap
-        return last
-
 
 def build_supply_curves(cluster: Cluster, state: ClusterState) -> List[SupplyCurve]:
     """Build one :class:`SupplyCurve` per data center for this slot."""

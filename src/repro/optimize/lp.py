@@ -4,13 +4,17 @@ Solves the exact linear program
 
 .. math::
 
-   \\min_{h, b}\\; V \\sum_i \\phi_i \\sum_k p_k b_{ik} - \\sum_{ij} q_{ij} h_{ij}
+   \\min_{h, w}\\; V \\sum_i \\sum_s c_{is} w_{is} - \\sum_{ij} q_{ij} h_{ij}
 
-subject to per-site capacity coupling (eq. 11) and box bounds.  Slower
-than :func:`repro.optimize.greedy.solve_greedy` but makes no structural
-assumptions; it exists as an independently-derived cross-check (the
-property tests assert both backends agree) and as the building block of
-the T-step lookahead scheduler.
+where ``w_is`` is the work site *i* runs on segment *s* of its merged
+marginal-cost curve (:meth:`SlotServiceProblem.marginal_cost_segments`),
+priced at ``c_is`` per work, so any convex pricing tariff is exact.
+Per-site capacity coupling (eq. 11), memory limits (footnote 3) and box
+bounds complete it.  Slower than
+:func:`repro.optimize.greedy.solve_greedy` but makes no structural
+assumptions; it is an independent cross-check (the property tests
+assert both backends agree), the beta = 0 backend on memory-limited
+clusters and the beta > 0 oracle there.
 """
 
 from __future__ import annotations
@@ -31,32 +35,32 @@ def solve_lp(problem: SlotServiceProblem) -> np.ndarray:
     if problem.beta > 0:
         raise ValueError("solve_lp handles beta = 0 only; use solve_qp for beta > 0")
     cluster = problem.cluster
-    state = problem.state
     n = cluster.num_datacenters
     j_count = cluster.num_job_types
-    k_count = cluster.num_server_classes
     demands = cluster.demands
-    speeds = cluster.speeds
-    powers = cluster.active_powers
+    segments = [problem.marginal_cost_segments(i) for i in range(n)]
+    widths = [width for site in segments for width, _ in site]
 
     num_h = n * j_count
-    num_b = n * k_count
+    num_vars = num_h + len(widths)
 
-    # Variable layout: [h_00..h_0J, h_10.., ..., b_00..b_0K, ...]
+    # Variable layout: [h_00..h_0J, h_10.., ..., w_0s.., w_1s.., ...]
     c = np.concatenate(
         [
             -problem.queue_weights.ravel(),
-            problem.v * np.repeat(state.prices, k_count) * np.tile(powers, n),
+            problem.v * np.array([cost for site in segments for _, cost in site]),
         ]
     )
 
-    # Capacity coupling: sum_j d_j h_ij - sum_k s_k b_ik <= 0 per site.
+    # Capacity coupling: sum_j d_j h_ij - sum_s w_is <= 0 per site.
     rows = []
     limits = []
-    for i in range(n):
-        row = np.zeros(num_h + num_b)
+    offset = num_h
+    for i, site in enumerate(segments):
+        row = np.zeros(num_vars)
         row[i * j_count : (i + 1) * j_count] = demands
-        row[num_h + i * k_count : num_h + (i + 1) * k_count] = -speeds
+        row[offset : offset + len(site)] = -1.0
+        offset += len(site)
         rows.append(row)
         limits.append(0.0)
     # Memory constraint (footnote 3): sum_j mem_j h_ij <= memcap_i.
@@ -66,7 +70,7 @@ def solve_lp(problem: SlotServiceProblem) -> np.ndarray:
         for i in range(n):
             if not np.isfinite(mem_caps[i]):
                 continue
-            row = np.zeros(num_h + num_b)
+            row = np.zeros(num_vars)
             row[i * j_count : (i + 1) * j_count] = mem_demands
             rows.append(row)
             limits.append(float(mem_caps[i]))
@@ -74,7 +78,7 @@ def solve_lp(problem: SlotServiceProblem) -> np.ndarray:
     b_ub = np.array(limits)
 
     bounds = [(0.0, float(ub)) for ub in problem.h_upper.ravel()]
-    bounds += [(0.0, float(avail)) for avail in state.availability.ravel()]
+    bounds += [(0.0, float(width)) for width in widths]
 
     result = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
     if not result.success:

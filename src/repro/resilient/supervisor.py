@@ -43,13 +43,7 @@ import numpy as np
 
 from repro._validation import require_integer
 from repro.obs.registry import metrics_registry, stats_registry
-from repro.optimize import (
-    SolverFailure,
-    solve_greedy,
-    solve_lp,
-    solve_projected_gradient,
-    solve_qp,
-)
+from repro.optimize import SolverFailure, solve_greedy, solve_lp, solve_qp
 from repro.optimize.slot_problem import SlotServiceProblem
 
 __all__ = [
@@ -81,7 +75,6 @@ BACKENDS: Dict[str, Callable[[SlotServiceProblem], np.ndarray]] = {
     "greedy": solve_greedy,
     "lp": solve_lp,
     "qp": solve_qp,
-    "projected_gradient": solve_projected_gradient,
     "zero": solve_zero,
 }
 
@@ -95,7 +88,6 @@ DEFAULT_CHAINS: Dict[str, Tuple[str, ...]] = {
     "greedy": ("greedy", "zero"),
     "lp": ("lp", "greedy", "zero"),
     "qp": ("qp", "greedy", "zero"),
-    "projected_gradient": ("projected_gradient", "greedy", "zero"),
     "zero": ("zero",),
 }
 

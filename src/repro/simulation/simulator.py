@@ -218,6 +218,7 @@ class Simulator:
                         dc_backlog=float(np.sum(queues.dc)),
                         solver=str(solve.get("solver", "")),
                         iterations=int(solve.get("iterations", 0)),
+                        gap=float(solve.get("gap", 0.0)),
                         objective=float(solve.get("objective", 0.0)),
                         solve_seconds=float(solve.get("solve_seconds", 0.0)),
                         energy_cost=float(cost.energy),

@@ -622,10 +622,10 @@ class PerfClockRule(Rule):
 class SolverRoutingRule(Rule):
     """Slot solves in scheduler/experiment code run supervised.
 
-    A direct ``solve_lp``/``solve_qp``/``solve_greedy``/
-    ``solve_projected_gradient`` call is an unguarded single point of
-    failure: one :class:`~repro.optimize.SolverFailure` (or a NaN
-    result) escapes the slot and loses the whole horizon.  Routing
+    A direct ``solve_lp``/``solve_qp``/``solve_greedy`` call is an
+    unguarded single point of failure: one
+    :class:`~repro.optimize.SolverFailure` (or a NaN result) escapes the
+    slot and loses the whole horizon.  Routing
     through :mod:`repro.resilient` — ``solve_service(problem, ...)`` or
     a :class:`~repro.resilient.supervisor.SupervisedSolver` — validates
     the result and degrades down the fallback chain instead.  The
@@ -643,12 +643,7 @@ class SolverRoutingRule(Rule):
     )
     scope = ("core/", "schedulers/", "simulation/", "experiments/", "analysis/")
 
-    _BACKEND_NAMES = {
-        "solve_greedy",
-        "solve_lp",
-        "solve_qp",
-        "solve_projected_gradient",
-    }
+    _BACKEND_NAMES = {"solve_greedy", "solve_lp", "solve_qp"}
 
     def check(self, ctx: "ModuleContext") -> Iterator[Violation]:
         imports = _import_map(ctx.tree)

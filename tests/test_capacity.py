@@ -75,11 +75,6 @@ class TestBusyCounts:
 
 
 class TestSubgradient:
-    def test_marginal_power_on_segments(self):
-        _, curves = _curves([[10, 10], [10, 10]])
-        assert curves[0].subgradient(1.0) == pytest.approx(0.625)
-        assert curves[0].subgradient(12.0) == pytest.approx(1.0)
-
     def test_marginal_segments_skip_empty(self):
         _, curves = _curves([[10, 0], [10, 10]])
         segments = curves[0].marginal_segments()

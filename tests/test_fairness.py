@@ -64,12 +64,6 @@ class TestQuadratic:
             numerical = (f.score(bump, R, SHARES) - f.score(alloc, R, SHARES)) / eps
             assert grad[m] == pytest.approx(numerical, abs=1e-6)
 
-    def test_hessian_diagonal(self):
-        f = QuadraticFairness()
-        np.testing.assert_allclose(
-            f.hessian_diagonal(10.0, 3), np.full(3, -0.02)
-        )
-
     def test_rejects_bad_inputs(self):
         f = QuadraticFairness()
         with pytest.raises(ValueError):

@@ -158,6 +158,7 @@ def _event(slot: int = 0) -> SlotTraceEvent:
         dc_backlog=1.5,
         solver="greedy",
         iterations=7,
+        gap=3e-10,
         objective=-2.25,
         solve_seconds=1e-4,
         energy_cost=0.75,
@@ -168,6 +169,12 @@ def _event(slot: int = 0) -> SlotTraceEvent:
 def test_slot_trace_event_dict_round_trip():
     event = _event(slot=3)
     assert SlotTraceEvent.from_dict(event.to_dict()) == event
+
+
+def test_slot_trace_event_without_gap_loads_with_zero_gap():
+    payload = _event(slot=3).to_dict()
+    del payload["gap"]  # written before the field existed
+    assert SlotTraceEvent.from_dict(payload).gap == 0.0
 
 
 def test_jsonl_sink_round_trip(tmp_path):

@@ -49,13 +49,6 @@ class TestServiceUpperBounds:
 
 
 class TestGreFarSolverVariants:
-    def test_projected_gradient_backend_runs(self, scenario):
-        scheduler = GreFarScheduler(
-            scenario.cluster, v=5.0, solver="projected_gradient"
-        )
-        result = Simulator(scenario, scheduler, validate=True).run(15)
-        assert result.summary.horizon == 15
-
     def test_qp_backend_at_beta_zero(self, scenario):
         scheduler = GreFarScheduler(scenario.cluster, v=5.0, solver="qp")
         result = Simulator(scenario, scheduler).run(15)

@@ -1,6 +1,5 @@
 """Deep property tests on the solver machinery.
 
-* The QP objective's analytic gradient matches finite differences.
 * The greedy solution matches brute-force grid search on tiny problems.
 * The merged marginal-cost curve prices exactly what ``energy_cost``
   charges (curve/evaluator consistency).
@@ -18,7 +17,6 @@ from repro.model.pricing import TieredPricing
 from repro.model.server import ServerClass
 from repro.model.state import ClusterState
 from repro.optimize import SlotServiceProblem, solve_greedy
-from repro.scenarios import small_cluster
 
 
 def _tiny_cluster(demand=1.0):
@@ -125,39 +123,3 @@ class TestSegmentConsistency:
                 break
         h = np.array([[load / cluster.demands[0], 0.0]])
         assert problem.energy_cost(h) == pytest.approx(integrated, abs=1e-7)
-
-
-class TestQpGradient:
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(min_value=0, max_value=10_000))
-    def test_pg_subgradient_matches_finite_difference_off_kinks(self, seed):
-        """The projected-gradient subgradient equals the numerical
-        derivative at interior (non-kink) points."""
-        from repro.optimize.projected_gradient import _subgradient
-
-        cluster = small_cluster()
-        rng = np.random.default_rng(seed)
-        availability = np.stack(
-            [dc.max_servers for dc in cluster.datacenters]
-        ).astype(float)
-        state = ClusterState(availability, rng.uniform(0.2, 0.8, size=2))
-        problem = SlotServiceProblem(
-            cluster=cluster,
-            state=state,
-            queue_weights=rng.uniform(0, 10, size=(2, 2)),
-            h_upper=np.full((2, 2), 3.0),
-            v=float(rng.uniform(0.5, 5.0)),
-            beta=float(rng.uniform(0, 50.0)),
-        )
-        # An interior point well inside the first supply segment.
-        h = np.full((2, 2), 0.51) * cluster.eligibility_matrix()
-        grad = _subgradient(problem, h)
-        eps = 1e-5
-        for i in range(2):
-            for j in range(2):
-                if not cluster.eligibility_matrix()[i, j]:
-                    continue
-                bump = h.copy()
-                bump[i, j] += eps
-                numerical = (problem.objective(bump) - problem.objective(h)) / eps
-                assert grad[i, j] == pytest.approx(numerical, abs=1e-3)

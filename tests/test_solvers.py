@@ -3,8 +3,7 @@
 The greedy backend is provably exact for beta = 0; the LP backend is an
 independently-derived formulation of the same problem; the QP backend
 must match them at beta = 0 and never do worse than greedy at beta > 0;
-the projected-gradient backend must come close.  Randomized instances
-exercise all of it.
+randomized instances exercise all of it.
 """
 
 import numpy as np
@@ -13,13 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.model.state import ClusterState
-from repro.optimize import (
-    SlotServiceProblem,
-    solve_greedy,
-    solve_lp,
-    solve_projected_gradient,
-    solve_qp,
-)
+from repro.optimize import SlotServiceProblem, solve_greedy, solve_lp, solve_qp
 from repro.scenarios import small_cluster
 
 
@@ -152,29 +145,3 @@ class TestQp:
         h = solve_qp(problem)
         # With a strong fairness pull the allocation moves off zero.
         assert h.sum() > 0.01
-
-
-class TestProjectedGradient:
-    def test_feasible_output(self):
-        for seed in range(5):
-            problem = _random_problem(seed, beta=10.0)
-            h = solve_projected_gradient(problem)
-            assert problem.is_feasible(h, tol=1e-5)
-
-    def test_close_to_qp_at_beta_zero(self):
-        gaps = []
-        for seed in range(6):
-            problem = _random_problem(seed)
-            h_pg = solve_projected_gradient(problem, max_iterations=500)
-            h_exact = solve_greedy(problem)
-            exact = problem.objective(h_exact)
-            scale = max(abs(exact), 1.0)
-            gaps.append((problem.objective(h_pg) - exact) / scale)
-        # Subgradient descent is approximate; demand a small relative gap.
-        assert np.median(gaps) < 0.1
-        assert min(gaps) > -1e-9  # can never beat the exact optimum
-
-    def test_improves_over_zero_start(self):
-        problem = _random_problem(3, v=1.0)
-        h = solve_projected_gradient(problem)
-        assert problem.objective(h) <= problem.objective(np.zeros_like(h)) + 1e-12
