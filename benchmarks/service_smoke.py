@@ -176,10 +176,10 @@ def main() -> int:
             cost_model=CostModel(beta=config.cost_beta),
         ).run()
         if (
-            result.metrics.energy_cost == state.metrics.energy_cost
-            and result.metrics.fairness == state.metrics.fairness
-            and result.metrics.served_jobs == state.metrics.served_jobs
-            and result.metrics.queue_total == state.metrics.queue_total
+            result.metrics.energy_cost == state.sim.metrics.energy_cost
+            and result.metrics.fairness == state.sim.metrics.fairness
+            and result.metrics.served_jobs == state.sim.metrics.served_jobs
+            and result.metrics.queue_total == state.sim.metrics.queue_total
         ):
             print(
                 f"replay OK: {completed} live slots match the offline "

@@ -37,6 +37,7 @@ from repro._contracts import checked_step
 from repro.model.action import Action
 from repro.model.cluster import Cluster
 from repro.obs.instruments import timed
+from repro.obs.registry import stats_registry
 
 __all__ = ["DelayStats", "QueueNetwork"]
 
@@ -254,14 +255,20 @@ class QueueNetwork:
 
         Routing of each type is reduced (largest senders last) so the
         total routed does not exceed ``Q_j(t)``, keeping integrality.
-        Service is clipped to the data center queue contents.
+        Service is clipped to the data center queue contents.  A call
+        that reduces either adds one to the stats counter
+        ``sim.clip.route`` or ``sim.clip.serve``.
         """
         r = np.array(action.route)
-        h = np.minimum(np.array(action.serve), self._dc)
+        h = np.minimum(action.serve, self._dc)
+        if (h < action.serve).any():
+            stats_registry().counter_add("sim.clip.serve")
+        trimmed = False
         for j in range(self._cluster.num_job_types):
             excess = r[:, j].sum() - np.floor(self._front[j] + 1e-9)
             if excess <= 0:
                 continue
+            trimmed = True
             order = np.argsort(-r[:, j])
             for i in order:
                 take = min(r[i, j], excess)
@@ -269,6 +276,8 @@ class QueueNetwork:
                 excess -= take
                 if excess <= 0:
                     break
+        if trimmed:
+            stats_registry().counter_add("sim.clip.route")
         return Action(r, h, action.busy)
 
     def evict_dc(self, dc: int) -> np.ndarray:

@@ -11,9 +11,10 @@ Two registry instances back the whole observability layer:
   (within noise) wall-clock-identical to an uninstrumented one.
 * the **stats registry** (:func:`stats_registry`) carries the coarse
   session counters the CLI reports after every command — runner
-  executions, cache hits/misses/stores, cache size gauges.  These call
-  sites fire a handful of times per command, never per slot, so this
-  registry is always enabled.
+  executions, cache hits/misses/stores, cache size gauges — plus the
+  silent-degradation counters (``solve.qp.capped``, ``sim.clip.*``),
+  which fire only on the slot a degradation happens.  These call sites
+  are rare, so this registry is always enabled.
 
 This module is the one place in ``src/repro`` allowed to read the
 performance clock directly; everything else goes through

@@ -3,9 +3,9 @@
 The paper's algorithm is online by construction — each slot's decision
 uses only current queue state — so nothing about it *requires* batch
 replay.  This package promotes the simulator into a long-running
-service (ROADMAP item 2): an HTTP gateway accepts streaming submissions
-from many accounts through a bounded, rate-limited ingestion pipeline,
-a ticker advances GreFar slot by slot, and live endpoints answer
+service: an HTTP gateway accepts streaming submissions from many
+accounts through a bounded, rate-limited ingestion pipeline, a ticker
+advances GreFar slot by slot, and live endpoints answer
 placement/queue/fairness/metrics queries.
 
 Layering (each module depends only on those above it):
@@ -14,7 +14,7 @@ Layering (each module depends only on those above it):
 * :mod:`~repro.service.ratelimit` — per-account token buckets
 * :mod:`~repro.service.ingest` — bounded intake, write-ahead log
 * :mod:`~repro.service.state` — config + model state + checkpoints
-* :mod:`~repro.service.ticker` — the slot loop (mirrors ``Simulator``)
+* :mod:`~repro.service.ticker` — the slot loop (``Simulator.step`` on live arrivals)
 * :mod:`~repro.service.app` — the HTTP gateway and lifecycle
 * :mod:`~repro.service.client` — a stdlib Python client
 

@@ -118,7 +118,7 @@ class SchedulerService:
             self.ingestor.restore_counters(payload.get("ingest_counters", {}))
             self.limiter.restore(payload.get("ratelimit", {}))
             horizon_seq = int(payload["next_seq"])
-            self.resumed_from_slot = self.state.next_slot
+            self.resumed_from_slot = self.state.sim.next_slot
         # Everything acknowledged after the snapshot (or everything, if
         # no snapshot exists) lives only in the log — re-stage it.
         missing = [r for r in self.log.replay() if r.seq >= horizon_seq]
@@ -175,7 +175,7 @@ class SchedulerService:
             200,
             ok_body(
                 ticked=len(records),
-                next_slot=self.state.next_slot,
+                next_slot=self.state.sim.next_slot,
                 records=records,
             ),
             {},
@@ -185,20 +185,20 @@ class SchedulerService:
         with self.lock:
             return ok_body(
                 status="ok",
-                scheduler=self.state.scheduler.name,
-                next_slot=self.state.next_slot,
+                scheduler=self.state.sim.scheduler.name,
+                next_slot=self.state.sim.next_slot,
                 capacity_slots=self.config.capacity_slots,
                 pending_jobs=self.ingestor.buffer.pending_jobs,
-                queue_backlog=float(self.state.queues.total_backlog()),
+                queue_backlog=float(self.state.sim.queues.total_backlog()),
                 resumed_from_slot=self.resumed_from_slot,
                 recovered_submissions=self.recovered_submissions,
             )
 
     def queues_view(self) -> dict:
         with self.lock:
-            queues = self.state.queues
+            queues = self.state.sim.queues
             return ok_body(
-                next_slot=self.state.next_slot,
+                next_slot=self.state.sim.next_slot,
                 front=[float(q) for q in queues.front],
                 dc=[[float(q) for q in row] for row in queues.dc],
                 total_backlog=float(queues.total_backlog()),
@@ -209,7 +209,7 @@ class SchedulerService:
         with self.lock:
             last = self.state.slot_records[-1] if self.state.slot_records else None
             return ok_body(
-                next_slot=self.state.next_slot,
+                next_slot=self.state.sim.next_slot,
                 last_slot=last,
                 datacenters=self.state.cluster.num_datacenters,
             )
@@ -223,8 +223,8 @@ class SchedulerService:
             service = {
                 **self.ingestor.counters(),
                 "ticks_completed": self.ticker.ticks_completed,
-                "next_slot": self.state.next_slot,
-                "admitted_jobs": float(self.state.admitted_total),
+                "next_slot": self.state.sim.next_slot,
+                "admitted_jobs": float(self.state.sim.admitted_total),
             }
             return ok_body(
                 service=service,
@@ -234,12 +234,7 @@ class SchedulerService:
 
     def stats_view(self) -> dict:
         with self.lock:
-            summary = self.state.metrics.summary(
-                self.state.scheduler.name,
-                self.state.queues,
-                arrived=self.state.admitted_total,
-            )
-            return ok_body(summary=summary.as_dict())
+            return ok_body(summary=self.state.sim.summary().as_dict())
 
     def slots_view(self, start: int = 0, count: Optional[int] = None) -> dict:
         with self.lock:
@@ -247,7 +242,7 @@ class SchedulerService:
             if count is not None:
                 records = records[:count]
             return ok_body(
-                completed_slots=self.state.next_slot,
+                completed_slots=self.state.sim.next_slot,
                 start=start,
                 records=records,
             )
@@ -377,7 +372,7 @@ class _Handler(BaseHTTPRequestHandler):
             elif path == "/v1/admin/checkpoint":
                 service.ticker.save_checkpoint()
                 self._reply(
-                    200, ok_body(checkpointed=True, next_slot=service.state.next_slot)
+                    200, ok_body(checkpointed=True, next_slot=service.state.sim.next_slot)
                 )
             elif path == "/v1/admin/shutdown":
                 self._reply(200, ok_body(stopping=True))

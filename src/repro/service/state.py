@@ -6,8 +6,9 @@ how intake is bounded.  Its digest keys the data directory, the
 write-ahead log and the ckpt-v1 checkpoint, so a restarted gateway can
 only ever resume *its own* state.
 
-:class:`ServiceState` owns everything the ticker mutates: the queue
-network, the metrics collector, the scheduler, the accepted-arrival
+:class:`ServiceState` owns everything the ticker mutates: a
+:class:`~repro.simulation.simulator.Simulator` over the environment
+trace (queue network, metrics collector, scheduler), the accepted-arrival
 matrix and the per-slot records the query endpoints serve.  It is the
 bridge to the offline world in both directions:
 
@@ -16,8 +17,8 @@ bridge to the offline world in both directions:
   only the *arrivals* are live;
 * :meth:`replay_scenario` packages the accepted arrivals back into an
   offline :class:`~repro.simulation.trace.Scenario`, which the
-  equivalence tests push through ``Simulator`` to prove the service's
-  per-slot metrics are bit-identical to a batch replay.
+  equivalence tests push through ``Simulator.run`` to prove the
+  service's per-slot metrics are bit-identical to a batch replay.
 """
 
 from __future__ import annotations
@@ -30,11 +31,10 @@ import numpy as np
 
 from repro._validation import require_integer, require_positive
 from repro.core.objective import CostModel
-from repro.model.queues import QueueNetwork
 from repro.resilient.checkpoint import Checkpointer
 from repro.runner.spec import ScenarioSpec, spec_digest
 from repro.schedulers import build_scheduler
-from repro.simulation.metrics import MetricsCollector
+from repro.simulation.simulator import Simulator
 from repro.simulation.trace import Scenario
 
 __all__ = ["ServiceConfig", "ServiceState"]
@@ -159,11 +159,12 @@ class ServiceConfig:
 class ServiceState:
     """Everything the slot ticker mutates, plus its checkpoint plumbing.
 
-    The live loop's stateful objects are exactly the offline
-    simulator's (queue network, metrics collector, scheduler) so a
-    replay of the accepted arrivals reproduces the service bit for bit;
-    the additions — arrival matrix, per-slot records, cumulative
-    account work — exist to answer queries and write checkpoints.
+    :attr:`sim` is a default offline ``Simulator`` (no admission policy,
+    no fault injector) over the environment trace; the ticker advances
+    it with ``sim.step`` on live arrivals, so a replay of the accepted
+    arrivals reproduces the service bit for bit.  The additions —
+    arrival matrix, per-slot records, cumulative account work — exist to
+    answer queries and write checkpoints.
     """
 
     def __init__(self, config: ServiceConfig) -> None:
@@ -172,23 +173,20 @@ class ServiceState:
         #: gateway supplies arrivals, the spec supplies the rest.
         self.environment = config.environment_spec().materialize()
         self.cluster = self.environment.cluster
-        self.cost_model = CostModel(beta=config.cost_beta)
-        self.queues = QueueNetwork(self.cluster)
-        self.metrics = MetricsCollector(
-            num_datacenters=self.cluster.num_datacenters
+        self.sim = Simulator(
+            self.environment,
+            build_scheduler(
+                config.scheduler, self.cluster, **dict(config.scheduler_kwargs)
+            ),
+            cost_model=CostModel(beta=config.cost_beta),
         )
-        self.scheduler = build_scheduler(
-            config.scheduler, self.cluster, **dict(config.scheduler_kwargs)
-        )
-        self.scheduler.reset()
-        self.next_slot = 0
+        self.sim.reset()
         #: Accepted arrival vectors, one per completed slot (length J).
         self.arrivals_log: List[np.ndarray] = []
         #: Query-facing per-slot records (JSON-encodable).
         self.slot_records: List[dict] = []
         #: Cumulative eq. (3) work per account, for /v1/fairness.
         self.account_work = np.zeros(self.cluster.num_accounts)
-        self.admitted_total = 0.0
 
     # ------------------------------------------------------------------
     @property
@@ -228,7 +226,7 @@ class ServiceState:
         shares = np.asarray(self.cluster.fair_shares, dtype=np.float64)
         entitled = shares * total
         return {
-            "completed_slots": self.next_slot,
+            "completed_slots": self.sim.next_slot,
             "fair_shares": [float(s) for s in shares],
             "cumulative_work": [float(w) for w in self.account_work],
             "entitled_work": [float(w) for w in entitled],
@@ -247,17 +245,18 @@ class ServiceState:
         last acknowledged sequence, rate-limiter levels, counters) the
         app layer owns.
         """
+        sim = self.sim
         return {
-            "next_slot": int(self.next_slot),
-            "scheduler_name": self.scheduler.name,
+            "next_slot": int(sim.next_slot),
+            "scheduler_name": sim.scheduler.name,
             "config_digest": self.config.digest,
-            "queues": self.queues,
-            "metrics": self.metrics,
-            "scheduler": self.scheduler,
+            "queues": sim.queues,
+            "metrics": sim.metrics,
+            "scheduler": sim.scheduler,
             "arrivals_log": [a.copy() for a in self.arrivals_log],
             "slot_records": list(self.slot_records),
             "account_work": self.account_work.copy(),
-            "admitted_total": float(self.admitted_total),
+            "admitted_total": float(sim.admitted_total),
             **extra,
         }
 
@@ -267,11 +266,7 @@ class ServiceState:
             raise ValueError(
                 "checkpoint belongs to a differently-configured service"
             )
-        self.next_slot = int(payload["next_slot"])
-        self.queues = payload["queues"]
-        self.metrics = payload["metrics"]
-        self.scheduler = payload["scheduler"]
+        self.sim.restore(payload)
         self.arrivals_log = [np.asarray(a) for a in payload["arrivals_log"]]
         self.slot_records = list(payload["slot_records"])
         self.account_work = np.asarray(payload["account_work"], dtype=np.float64)
-        self.admitted_total = float(payload["admitted_total"])

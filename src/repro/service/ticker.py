@@ -1,15 +1,12 @@
 """The slot ticker: advance GreFar one slot at a time, decoupled from HTTP.
 
-:func:`tick_once` is a line-for-line mirror of the offline
-``Simulator.run`` slot body (decide → clip → step → cost → record) with
-one substitution: the arrival vector comes from the live intake buffer
-instead of a pre-generated trace.  Everything else — state snapshot,
-queue dynamics, cost evaluation, metric recording — is the same code
-operating in the same order on the same objects, which is what makes
-the service's per-slot metrics bit-identical to an offline replay of
-its accepted-arrival log.
+:func:`tick_once` runs one slot through ``Simulator.step`` — the same
+slot body the offline ``Simulator.run`` loop uses — with the arrival
+vector taken from the live intake buffer instead of a pre-generated
+trace.  That shared body is what makes the service's per-slot metrics
+bit-identical to an offline replay of its accepted-arrival log.
 
-:class:`SlotTicker` wraps that pure step with scheduling (manual ticks
+:class:`SlotTicker` wraps that step with scheduling (manual ticks
 for tests and CI, a wall-clock thread for real serving), the shared
 service lock, and the ckpt-v1 checkpoint cadence.  Blocking waits live
 only in the pacing loop, never in the tick path (staticcheck GF009
@@ -23,7 +20,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.obs.registry import metrics_registry
 from repro.resilient.checkpoint import Checkpointer
 from repro.service.ingest import Ingestor
 from repro.service.ratelimit import AccountRateLimiter
@@ -38,51 +34,31 @@ class CapacityExhausted(RuntimeError):
 
 
 def tick_once(state: ServiceState, arrivals: np.ndarray) -> dict:
-    """Advance the service exactly one slot; returns the slot record.
-
-    Mirrors ``Simulator.run`` with its defaults (no admission policy,
-    no fault injector, ``enforce_physical=True``): any divergence here
-    breaks the offline-replay equivalence the tests pin down.
-    """
-    t = state.next_slot
+    """Advance the service exactly one slot; returns the slot record."""
+    sim = state.sim
+    t = sim.next_slot
     if t >= state.config.capacity_slots:
         raise CapacityExhausted(
             f"environment trace exhausted after {t} slots; "
             "restart with a larger --capacity-slots"
         )
-    reg = metrics_registry()
-    cluster_state = state.environment.state_at(t)
-    with reg.span("service.decide"):
-        action = state.scheduler.decide(t, cluster_state, state.queues)
-    action = state.queues.clip_to_content(action)
     arrivals = np.asarray(arrivals, dtype=np.float64)
-    state.admitted_total += float(np.sum(arrivals))
-    outcome = state.queues.step(action, arrivals, t)
-    served_jobs = float(np.sum(outcome["served"]))
-    cost = state.cost_model.evaluate(state.cluster, cluster_state, action)
-    state.metrics.record(
-        energy=cost.energy,
-        fairness=cost.fairness,
-        combined=cost.combined,
-        work_per_dc=action.work_served(state.cluster),
-        served_jobs=served_jobs,
-        queues=state.queues,
-    )
+    action = sim.step(arrivals)
     state.account_work += action.account_work(state.cluster)
+    metrics = sim.metrics
     record = {
         "slot": t,
         "arrivals": [float(a) for a in arrivals],
-        "energy_cost": float(cost.energy),
-        "fairness": float(cost.fairness),
-        "combined_cost": float(cost.combined),
-        "served_jobs": served_jobs,
-        "work_per_dc": [float(w) for w in action.work_served(state.cluster)],
-        "queue_total": float(state.queues.total_backlog()),
-        "queue_max": float(state.queues.max_queue_length()),
+        "energy_cost": metrics.energy_cost[-1],
+        "fairness": metrics.fairness[-1],
+        "combined_cost": metrics.combined_cost[-1],
+        "served_jobs": metrics.served_jobs[-1],
+        "work_per_dc": [float(w) for w in metrics.work_per_dc[-1]],
+        "queue_total": float(metrics.queue_total[-1]),
+        "queue_max": float(metrics.queue_max[-1]),
     }
     state.arrivals_log.append(arrivals.copy())
     state.slot_records.append(record)
-    state.next_slot = t + 1
     return record
 
 
@@ -142,7 +118,7 @@ class SlotTicker:
                 )
                 record = tick_once(self.state, arrivals)
                 self.ticks_completed += 1
-                if self.checkpointer.due(self.state.next_slot):
+                if self.checkpointer.due(self.state.sim.next_slot):
                     self.save_checkpoint()
             records.append(record)
         return records

@@ -16,6 +16,7 @@ import numpy as np
 
 from repro._contracts import contracts_enabled, verify_action_capacity
 from repro.core.objective import CostModel
+from repro.model.action import Action
 from repro.model.queues import QueueNetwork
 from repro.obs.events import SlotTraceEvent
 from repro.obs.registry import metrics_registry
@@ -95,6 +96,145 @@ class Simulator:
         self.observers = list(observers) if observers is not None else []
         self.injector = injector
 
+    def reset(self) -> None:
+        """Start a fresh run at slot 0 (resets the scheduler and hooks too)."""
+        cluster = self.scenario.cluster
+        self.queues = QueueNetwork(cluster)
+        self.metrics = MetricsCollector(num_datacenters=cluster.num_datacenters)
+        self.scheduler.reset()
+        if self.admission is not None:
+            self.admission.reset()
+        if self.injector is not None:
+            self.injector.reset()
+        self.next_slot = 0
+        self.dropped = 0.0
+        self.admitted_total = 0.0
+
+    def restore(self, snapshot: dict) -> None:
+        """Adopt the run state of a :meth:`snapshot`.
+
+        A payload without ``admission``/``injector`` keeps the
+        instance's own; one without ``dropped`` has dropped nothing.
+        """
+        self.next_slot = int(snapshot["next_slot"])
+        self.queues = snapshot["queues"]
+        self.metrics = snapshot["metrics"]
+        self.scheduler = snapshot["scheduler"]
+        self.admission = snapshot.get("admission", self.admission)
+        self.injector = snapshot.get("injector", self.injector)
+        self.dropped = float(snapshot.get("dropped", 0.0))
+        self.admitted_total = float(snapshot["admitted_total"])
+
+    def snapshot(self) -> dict:
+        """Everything :meth:`step` mutates (see resilient.checkpoint)."""
+        return {
+            "next_slot": int(self.next_slot),
+            "scheduler_name": self.scheduler.name,
+            "queues": self.queues,
+            "metrics": self.metrics,
+            "scheduler": self.scheduler,
+            "admission": self.admission,
+            "injector": self.injector,
+            "dropped": float(self.dropped),
+            "admitted_total": float(self.admitted_total),
+        }
+
+    def step(self, arrivals: np.ndarray) -> Action:
+        """Run slot :attr:`next_slot` with *arrivals*; return the applied action.
+
+        One GreFar slot: observe the state and queues, decide, apply
+        eqs. (12)-(13), then record cost and metrics.  The offline
+        :meth:`run` loop and the live service both advance through this
+        method.  Call :meth:`reset` or :meth:`restore` first.
+        """
+        t = self.next_slot
+        cluster = self.scenario.cluster
+        queues = self.queues
+        injector = self.injector
+        reg = metrics_registry()
+        slot_start = reg.clock() if reg.enabled else 0.0
+        state = self.scenario.state_at(t)
+        requeued = None
+        if injector is not None:
+            # Outage-onset evictions happen before the scheduler
+            # looks at the queues; capacity faults apply to the
+            # ground truth, signal faults only to what is observed.
+            requeued = injector.begin_slot(t, queues)
+            state = injector.true_state(t, state)
+            observed = injector.observed_state(t, state)
+        else:
+            observed = state
+        with reg.span("sim.decide"):
+            action = self.scheduler.decide(t, observed, queues)
+        if injector is not None:
+            action = injector.filter_action(t, action, state)
+        if self.enforce_physical:
+            action = queues.clip_to_content(action)
+        if self.validate:
+            action.validate(cluster, state)
+        elif contracts_enabled():
+            # Same checks, framed as a runtime contract (eqs. 4, 5,
+            # 11 feasibility of the applied action) — REPRO_CONTRACTS=1.
+            verify_action_capacity(cluster, state, action)
+        if self.admission is not None:
+            admitted = self.admission.admit(t, arrivals, queues, cluster)
+            self.dropped += float(np.sum(arrivals - admitted))
+            arrivals = admitted
+        self.admitted_total += float(np.sum(arrivals))
+        if requeued is not None:
+            # Re-admitted work joins through the same eq. (12)
+            # arrival path but was already counted on first arrival,
+            # so it bypasses admission and the arrived total.
+            arrivals = arrivals + requeued
+        outcome = queues.step(action, arrivals, t)
+        for observer in self.observers:
+            observer(t, state, action, queues)
+        served_jobs = float(np.sum(outcome["served"]))
+        with reg.span("sim.metrics"):
+            cost = self.cost_model.evaluate(cluster, state, action)
+            self.metrics.record(
+                energy=cost.energy,
+                fairness=cost.fairness,
+                combined=cost.combined,
+                work_per_dc=action.work_served(cluster),
+                served_jobs=served_jobs,
+                queues=queues,
+            )
+        if reg.enabled:
+            # Fold the scheduler's per-decision solve record (if it
+            # left one) into this slot's structured trace event.
+            solve = reg.consume_solve()
+            reg.timer_add("sim.slot", reg.clock() - slot_start)
+            reg.emit(
+                SlotTraceEvent(
+                    slot=t,
+                    scheduler=self.scheduler.name,
+                    front_backlog=float(np.sum(queues.front)),
+                    dc_backlog=float(np.sum(queues.dc)),
+                    solver=str(solve.get("solver", "")),
+                    iterations=int(solve.get("iterations", 0)),
+                    gap=float(solve.get("gap", 0.0)),
+                    objective=float(solve.get("objective", 0.0)),
+                    solve_seconds=float(solve.get("solve_seconds", 0.0)),
+                    energy_cost=float(cost.energy),
+                    served_jobs=served_jobs,
+                )
+            )
+        self.next_slot = t + 1
+        return action
+
+    def summary(self) -> SimulationSummary:
+        """Aggregate the slots run so far."""
+        injector = self.injector
+        return self.metrics.summary(
+            self.scheduler.name,
+            self.queues,
+            arrived=self.admitted_total,
+            dropped=self.dropped,
+            evicted=injector.evicted_jobs if injector is not None else 0.0,
+            requeued=injector.requeued_jobs if injector is not None else 0.0,
+        )
+
     def run(
         self,
         horizon: int | None = None,
@@ -124,155 +264,33 @@ class Simulator:
             )
         if resume and checkpointer is None:
             raise ValueError("resume=True requires a checkpointer")
-        cluster = scenario.cluster
-        start = 0
         snapshot = checkpointer.load() if (checkpointer and resume) else None
-        if snapshot is not None:
-            start = int(snapshot["next_slot"])
-            if start > horizon:
-                raise CheckpointError(
-                    f"checkpoint is {start} slots in, past the requested "
-                    f"horizon {horizon}"
-                )
-            queues = snapshot["queues"]
-            metrics = snapshot["metrics"]
-            self.scheduler = snapshot["scheduler"]
-            self.admission = snapshot["admission"]
-            self.injector = snapshot["injector"]
-            injector = self.injector
-            dropped = float(snapshot["dropped"])
-            admitted_total = float(snapshot["admitted_total"])
+        if snapshot is None:
+            self.reset()
+        elif int(snapshot["next_slot"]) > horizon:
+            raise CheckpointError(
+                f"checkpoint is {snapshot['next_slot']} slots in, past the "
+                f"requested horizon {horizon}"
+            )
         else:
-            queues = QueueNetwork(cluster)
-            metrics = MetricsCollector(num_datacenters=cluster.num_datacenters)
-            self.scheduler.reset()
-            if self.admission is not None:
-                self.admission.reset()
-            injector = self.injector
-            if injector is not None:
-                injector.reset()
-            dropped = 0.0
-            admitted_total = 0.0
+            self.restore(snapshot)
 
-        reg = metrics_registry()
-        for t in range(start, horizon):
-            slot_start = reg.clock() if reg.enabled else 0.0
-            state = scenario.state_at(t)
-            requeued = None
-            if injector is not None:
-                # Outage-onset evictions happen before the scheduler
-                # looks at the queues; capacity faults apply to the
-                # ground truth, signal faults only to what is observed.
-                requeued = injector.begin_slot(t, queues)
-                state = injector.true_state(t, state)
-                observed = injector.observed_state(t, state)
-            else:
-                observed = state
-            with reg.span("sim.decide"):
-                action = self.scheduler.decide(t, observed, queues)
-            if injector is not None:
-                action = injector.filter_action(t, action, state)
-            if self.enforce_physical:
-                action = queues.clip_to_content(action)
-            if self.validate:
-                action.validate(cluster, state)
-            elif contracts_enabled():
-                # Same checks, framed as a runtime contract (eqs. 4, 5,
-                # 11 feasibility of the applied action) — REPRO_CONTRACTS=1.
-                verify_action_capacity(cluster, state, action)
-            arrivals = scenario.arrivals[t]
-            if self.admission is not None:
-                admitted = self.admission.admit(t, arrivals, queues, cluster)
-                dropped += float(np.sum(arrivals - admitted))
-                arrivals = admitted
-            admitted_total += float(np.sum(arrivals))
-            if requeued is not None:
-                # Re-admitted work joins through the same eq. (12)
-                # arrival path but was already counted on first arrival,
-                # so it bypasses admission and the arrived total.
-                arrivals = arrivals + requeued
-            outcome = queues.step(action, arrivals, t)
-            for observer in self.observers:
-                observer(t, state, action, queues)
-            served_jobs = float(np.sum(outcome["served"]))
-            with reg.span("sim.metrics"):
-                cost = self.cost_model.evaluate(cluster, state, action)
-                metrics.record(
-                    energy=cost.energy,
-                    fairness=cost.fairness,
-                    combined=cost.combined,
-                    work_per_dc=action.work_served(cluster),
-                    served_jobs=served_jobs,
-                    queues=queues,
-                )
-            if reg.enabled:
-                # Fold the scheduler's per-decision solve record (if it
-                # left one) into this slot's structured trace event.
-                solve = reg.consume_solve()
-                reg.timer_add("sim.slot", reg.clock() - slot_start)
-                reg.emit(
-                    SlotTraceEvent(
-                        slot=t,
-                        scheduler=self.scheduler.name,
-                        front_backlog=float(np.sum(queues.front)),
-                        dc_backlog=float(np.sum(queues.dc)),
-                        solver=str(solve.get("solver", "")),
-                        iterations=int(solve.get("iterations", 0)),
-                        gap=float(solve.get("gap", 0.0)),
-                        objective=float(solve.get("objective", 0.0)),
-                        solve_seconds=float(solve.get("solve_seconds", 0.0)),
-                        energy_cost=float(cost.energy),
-                        served_jobs=served_jobs,
-                    )
-                )
-            if checkpointer is not None:
-                completed = t + 1
-                saved = False
-                if checkpointer.due(completed):
-                    self._save_checkpoint(
-                        checkpointer, completed, queues, metrics, injector,
-                        dropped, admitted_total,
-                    )
-                    saved = True
-                if checkpointer.should_kill(completed):
-                    # Crash drill: always leave a resumable snapshot at
-                    # the exact kill slot before dying.
-                    if not saved:
-                        self._save_checkpoint(
-                            checkpointer, completed, queues, metrics, injector,
-                            dropped, admitted_total,
-                        )
-                    raise SimulationKilled(completed, checkpointer.path)
+        for t in range(self.next_slot, horizon):
+            self.step(scenario.arrivals[t])
+            if checkpointer is None:
+                continue
+            # Crash drill: always leave a resumable snapshot at the
+            # exact kill slot before dying.
+            kill = checkpointer.should_kill(t + 1)
+            if kill or checkpointer.due(t + 1):
+                checkpointer.save(self.snapshot())
+            if kill:
+                raise SimulationKilled(t + 1, checkpointer.path)
 
         if checkpointer is not None:
             checkpointer.clear()
-        summary = metrics.summary(
-            self.scheduler.name,
-            queues,
-            arrived=admitted_total,
-            dropped=dropped,
-            evicted=injector.evicted_jobs if injector is not None else 0.0,
-            requeued=injector.requeued_jobs if injector is not None else 0.0,
-        )
-        return SimulationResult(summary=summary, metrics=metrics, queues=queues)
-
-    def _save_checkpoint(
-        self, checkpointer, next_slot, queues, metrics, injector,
-        dropped, admitted_total,
-    ) -> None:
-        """Snapshot everything the loop mutates (see resilient.checkpoint)."""
-        checkpointer.save(
-            {
-                "next_slot": int(next_slot),
-                "scheduler_name": self.scheduler.name,
-                "queues": queues,
-                "metrics": metrics,
-                "scheduler": self.scheduler,
-                "admission": self.admission,
-                "injector": injector,
-                "dropped": float(dropped),
-                "admitted_total": float(admitted_total),
-            }
+        return SimulationResult(
+            summary=self.summary(), metrics=self.metrics, queues=self.queues
         )
 
 

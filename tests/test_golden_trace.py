@@ -20,6 +20,7 @@ import json
 from pathlib import Path
 
 from repro.core.grefar import GreFarScheduler
+from repro.obs.registry import stats_registry
 from repro.scenarios import small_scenario
 from repro.simulation.simulator import Simulator
 
@@ -28,6 +29,7 @@ GOLDEN = Path(__file__).parent / "data" / "golden_trace.json"
 HORIZON = 40
 SEED = 11
 V = 5.0
+CLIP_COUNTERS = ("sim.clip.route", "sim.clip.serve")
 
 
 def _compute_payload() -> dict:
@@ -82,10 +84,27 @@ def test_golden_run_records_zero_solver_incidents():
     # reproduces bit-for-bit (above) proves the supervisor changes no
     # decision on healthy inputs.  Make the mechanism explicit too: the
     # supervised golden run must record zero incidents and never degrade.
+    # GreFar also emits physical actions, so the simulator's
+    # clip_to_content safety net must leave every decision untouched.
+    stats = stats_registry()
+    clips_before = [stats.counter(name) for name in CLIP_COUNTERS]
     scenario = small_scenario(horizon=HORIZON, seed=SEED)
     scheduler = GreFarScheduler(scenario.cluster, v=V, beta=0.0)
     Simulator(scenario, scheduler).run()
     assert scheduler.supervisor.incident_count == 0
+    assert [stats.counter(name) for name in CLIP_COUNTERS] == clips_before
+
+
+def test_non_physical_decisions_are_counted_when_clipped():
+    # The counters are live: a GreFar that ignores queue contents
+    # overdraws queues, and the simulator's clip records it.
+    stats = stats_registry()
+    before = [stats.counter(name) for name in CLIP_COUNTERS]
+    scenario = small_scenario(horizon=HORIZON, seed=SEED)
+    scheduler = GreFarScheduler(scenario.cluster, v=V, beta=0.0, physical=False)
+    Simulator(scenario, scheduler).run()
+    after = [stats.counter(name) for name in CLIP_COUNTERS]
+    assert all(a > b for a, b in zip(after, before)), (before, after)
 
 
 def test_golden_trace_fixture_shape():

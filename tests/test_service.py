@@ -20,6 +20,7 @@ Four layers, bottom up:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import threading
 import urllib.error
@@ -29,6 +30,8 @@ import numpy as np
 import pytest
 
 from repro.core.objective import CostModel
+from repro.obs.events import InMemorySink, SlotTraceEvent
+from repro.obs.registry import metrics_registry, stats_registry
 from repro.scenarios import small_scenario
 from repro.schedulers import build_scheduler
 from repro.service import (
@@ -47,6 +50,7 @@ from repro.service import (
     parse_json_body,
     parse_submission,
 )
+from repro.simulation.metrics import MetricsCollector
 from repro.simulation.simulator import Simulator
 
 CLUSTER = small_scenario(horizon=4, seed=0).cluster
@@ -353,43 +357,97 @@ def _submit_ok(service: SchedulerService, account: int, job_type: int, count: in
     return body
 
 
-def test_offline_replay_is_bit_identical(tmp_path):
-    """The decisive property: live slots == batch replay of the log."""
-    service = SchedulerService(make_config(tmp_path))
-    schedule = [
-        [(0, 0, 12), (1, 1, 4)],
-        [],
-        [(0, 0, 30), (0, 0, 8), (1, 1, 5)],
-        [(1, 1, 2)],
-        [(0, 0, 50)],
-        [],
-    ]
+REPLAY_SCHEDULE = [
+    [(0, 0, 12), (1, 1, 4)],
+    [],
+    [(0, 0, 30), (0, 0, 8), (1, 1, 5)],
+    [(1, 1, 2)],
+    [(0, 0, 50)],
+    [],
+]
+CLIP_COUNTERS = ("sim.clip.route", "sim.clip.serve")
+
+
+def _drive(service: SchedulerService, schedule) -> None:
     for batch in schedule:
         for account, job_type, count in batch:
             _submit_ok(service, account, job_type, count)
         service.ticker.tick(1)
+
+
+@pytest.mark.parametrize("beta", [0.0, 100.0], ids=["beta0", "beta100"])
+def test_offline_replay_is_bit_identical(tmp_path, beta):
+    """The decisive property: live slots == batch replay of the log."""
+    config = make_config(
+        tmp_path, scheduler_kwargs={"v": 10.0, "beta": beta}, cost_beta=beta
+    )
+    stats = stats_registry()
+    clips_before = [stats.counter(name) for name in CLIP_COUNTERS]
+    service = SchedulerService(config)
+    _drive(service, REPLAY_SCHEDULE)
     state = service.state
-    assert state.next_slot == len(schedule)
+    assert state.sim.next_slot == len(REPLAY_SCHEDULE)
 
     scenario = state.replay_scenario()
     simulator = Simulator(
         scenario,
-        build_scheduler("grefar", scenario.cluster, v=10.0),
-        cost_model=CostModel(beta=service.config.cost_beta),
+        build_scheduler(
+            config.scheduler, scenario.cluster, **dict(config.scheduler_kwargs)
+        ),
+        cost_model=CostModel(beta=config.cost_beta),
     )
     result = simulator.run()
 
     # Bit-identical, not approximately equal: same code, same order,
-    # same floats.
-    assert result.metrics.energy_cost == state.metrics.energy_cost
-    assert result.metrics.fairness == state.metrics.fairness
-    assert result.metrics.combined_cost == state.metrics.combined_cost
-    assert result.metrics.served_jobs == state.metrics.served_jobs
-    assert result.metrics.queue_total == state.metrics.queue_total
+    # same floats — every recorded series, delay ledgers included.
+    for field in dataclasses.fields(MetricsCollector):
+        offline = getattr(result.metrics, field.name)
+        live = getattr(state.sim.metrics, field.name)
+        if isinstance(offline, list):
+            assert len(offline) == len(live) == len(REPLAY_SCHEDULE), field.name
+            assert all(np.array_equal(a, b) for a, b in zip(offline, live)), field.name
+        else:
+            assert offline == live, field.name
     offline = result.metrics.work_per_dc_series()
     live = np.stack([r["work_per_dc"] for r in state.slot_records])
     assert np.array_equal(offline, live)
+    # GreFar emits physical actions: neither run trimmed a decision.
+    assert [stats.counter(name) for name in CLIP_COUNTERS] == clips_before
     service.shutdown()
+
+
+def test_service_ticks_emit_slot_telemetry(tmp_path):
+    """Live ticks run the simulator's instrumented slot body."""
+    slots = len(REPLAY_SCHEDULE)
+
+    def run(data_dir: str) -> list:
+        service = SchedulerService(make_config(tmp_path, data_dir=data_dir))
+        _drive(service, REPLAY_SCHEDULE)
+        service.shutdown()
+        return service.state.slot_records
+
+    registry = metrics_registry()
+    was_enabled = registry.enabled
+    registry.disable()
+    try:
+        plain = run(str(tmp_path / "off"))
+        registry.reset()
+        sink = InMemorySink()
+        registry.add_sink(sink)
+        registry.enable()
+        try:
+            traced = run(str(tmp_path / "on"))
+        finally:
+            registry.remove_sink(sink)
+        assert [event.slot for event in sink.events] == list(range(slots))
+        assert all(isinstance(event, SlotTraceEvent) for event in sink.events)
+        assert registry.timer("sim.slot").calls == slots
+        assert registry.timer("sim.decide").calls == slots
+    finally:
+        registry.enabled = was_enabled
+        registry.reset()
+    # Telemetry observes, never perturbs.
+    assert traced == plain
 
 
 def test_checkpoint_resume_in_process_no_acked_loss(tmp_path):
@@ -426,9 +484,9 @@ def test_checkpoint_resume_in_process_no_acked_loss(tmp_path):
     resumed.ticker.tick(3)
 
     assert resumed.state.slot_records == reference.state.slot_records
-    assert resumed.state.next_slot == reference.state.next_slot == 6
+    assert resumed.state.sim.next_slot == reference.state.sim.next_slot == 6
     total_jobs = sum(c for _, _, c in batch1 + batch2)
-    assert resumed.state.admitted_total == total_jobs
+    assert resumed.state.sim.admitted_total == total_jobs
     assert resumed.ingestor.accepted_jobs == total_jobs
     reference.shutdown()
     resumed.shutdown()
@@ -455,7 +513,7 @@ def test_fresh_start_rotates_log_and_clears_checkpoint(tmp_path):
     first.shutdown()
     # resume=False must not replay the old instance's acknowledged work.
     second = SchedulerService(config, resume=False)
-    assert second.state.next_slot == 0
+    assert second.state.sim.next_slot == 0
     assert second.ingestor.buffer.pending_jobs == 0
     assert config.wal_path.with_suffix(".jsonl.old").exists()
     second.shutdown()

@@ -87,8 +87,8 @@ def test_full_drill_zero_reports_and_bit_identical_replay(tmp_path, tsan_on):
     )
     result = simulator.run()
     # The sanitizer must observe, never perturb: still bit-identical.
-    assert result.metrics.energy_cost == state.metrics.energy_cost
-    assert result.metrics.combined_cost == state.metrics.combined_cost
+    assert result.metrics.energy_cost == state.sim.metrics.energy_cost
+    assert result.metrics.combined_cost == state.sim.metrics.combined_cost
     offline = result.metrics.work_per_dc_series()
     live = np.stack([r["work_per_dc"] for r in state.slot_records])
     assert np.array_equal(offline, live)
