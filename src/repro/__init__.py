@@ -30,7 +30,8 @@ The package provides:
   (``repro serve``) accepting streaming job submissions with
   backpressure and per-account rate limits, slot-ticking GreFar live,
   answering placement/fairness/metrics queries, and restarting from
-  ckpt-v1 checkpoints without losing acknowledged submissions.
+  ckpt-v2 checkpoints (fixed-size snapshot + per-slot history journal)
+  without losing acknowledged submissions.
 
 Quickstart::
 

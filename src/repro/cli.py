@@ -514,9 +514,12 @@ def _cmd_serve(args) -> int:
     and per-account rate limits, ticks GreFar on a wall-clock slot
     schedule (or manual ``POST /v1/admin/tick`` when ``--slot-seconds``
     is omitted), checkpoints every completed slot batch, and with
-    ``--resume`` restarts from the last ckpt-v1 snapshot without losing
-    any acknowledged submission.
+    ``--resume`` restarts from the last ckpt-v2 checkpoint (fixed-size
+    snapshot + per-slot history journal) without losing any acknowledged
+    submission; a checkpoint it cannot use (an older schema, a corrupt
+    file) is refused with an error rather than restarted at slot 0.
     """
+    from repro.resilient import CheckpointError
     from repro.service import ServiceConfig, serve
 
     try:
@@ -537,7 +540,11 @@ def _cmd_serve(args) -> int:
     except (TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return serve(config, host=args.host, port=args.port, resume=args.resume)
+    try:
+        return serve(config, host=args.host, port=args.port, resume=args.resume)
+    except CheckpointError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def _cmd_experiment(args) -> int:
@@ -590,7 +597,8 @@ def _add_checkpoint_flags(command) -> None:
         type=int,
         default=None,
         metavar="N",
-        help="snapshot the run state every N slots "
+        help="checkpoint the run every N slots: new slots appended to a "
+        "history journal, fixed-size snapshot replaced "
         "(.repro_cache/checkpoints/; removed on completion)",
     )
     command.add_argument(
@@ -785,7 +793,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="ckpt-v1 snapshot after every N completed slots",
+        help="ckpt-v2 checkpoint after every N completed slots (new "
+        "slots appended to the history journal, fixed-size snapshot "
+        "replaced)",
     )
     serve.add_argument(
         "--data-dir",

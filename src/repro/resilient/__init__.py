@@ -16,9 +16,10 @@ Three guarantees for long, production-scale runs (ROADMAP north star):
   NaN/Inf/negative prices and availability under a configurable policy
   (raise, clamp-and-warn, hold-last-good).
 * **A killed process does not lose the horizon.**
-  :class:`~repro.resilient.checkpoint.Checkpointer` snapshots the full
-  simulation state atomically under ``.repro_cache/checkpoints/``; a
-  resumed run is bit-identical to an uninterrupted one (see
+  :class:`~repro.resilient.checkpoint.Checkpointer` atomically
+  snapshots the fixed-size simulation state and appends the per-slot
+  history to a journal under ``.repro_cache/checkpoints/``; a resumed
+  run is bit-identical to an uninterrupted one (see
   ``docs/SUPERVISION.md``).
 
 The chaos drill (``repro chaos``, :func:`run_chaos_drill`) proves the
@@ -30,9 +31,11 @@ from repro.resilient.checkpoint import (
     CHECKPOINT_SCHEMA,
     CheckpointError,
     Checkpointer,
+    ColumnHistory,
     DEFAULT_CHECKPOINT_DIR,
     SimulationKilled,
     checkpoint_path,
+    journal_path,
     load_checkpoint,
     save_checkpoint,
 )
@@ -62,6 +65,7 @@ __all__ = [
     "ChaosReport",
     "CheckpointError",
     "Checkpointer",
+    "ColumnHistory",
     "DEFAULT_CHAINS",
     "DEFAULT_CHECKPOINT_DIR",
     "FlakyBackend",
@@ -76,6 +80,7 @@ __all__ = [
     "chain_for",
     "checkpoint_path",
     "default_supervisor",
+    "journal_path",
     "load_checkpoint",
     "run_chaos_drill",
     "sanitize_state",

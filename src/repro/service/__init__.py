@@ -24,9 +24,10 @@ Two properties tie the live path to the offline golden-trace regime
 1. **Replay equivalence** — pushing the accepted-arrival log through
    the offline ``Simulator`` reproduces the service's per-slot metrics
    bit-identically.
-2. **Crash safety** — a killed gateway restarts from its ckpt-v1
-   snapshot plus write-ahead log with every acknowledged submission
-   intact.
+2. **Crash safety** — a killed gateway restarts from its ckpt-v2
+   checkpoint (a fixed-size snapshot plus an append-only per-slot
+   history journal) and write-ahead log with every acknowledged
+   submission intact.
 """
 
 from repro.service.app import SchedulerService, ServiceHTTPServer, serve

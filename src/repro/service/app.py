@@ -12,7 +12,7 @@ method    path                       purpose
 POST      ``/v1/jobs``               submit jobs (202; 429 on backpressure or
                                      rate limit, with ``Retry-After``)
 POST      ``/v1/admin/tick``         advance N slots (manual-tick mode)
-POST      ``/v1/admin/checkpoint``   force a ckpt-v1 snapshot now
+POST      ``/v1/admin/checkpoint``   force a ckpt-v2 checkpoint now
 POST      ``/v1/admin/shutdown``     checkpoint, stop ticking, exit cleanly
 GET       ``/v1/health``             liveness + slot/backlog gauges
 GET       ``/v1/config``             the instance's full configuration
@@ -65,11 +65,15 @@ class SchedulerService:
     config:
         The frozen :class:`ServiceConfig`.
     resume:
-        When True, adopt the newest ckpt-v1 snapshot for this config
+        When True, adopt the newest ckpt-v2 checkpoint for this config
         digest (if any) and re-stage every write-ahead-log submission
-        newer than it; acknowledged work is never lost.  When False the
-        instance starts fresh: the old log is rotated aside and any
-        stale checkpoint cleared.
+        newer than it; acknowledged work is never lost.  A checkpoint
+        file that exists but cannot be used (older schema, corrupt,
+        foreign key) raises
+        :class:`~repro.resilient.checkpoint.CheckpointError`:
+        restarting at slot 0 would rewrite slot history clients have
+        already read.  When False the instance starts fresh: the old
+        log is rotated aside and any stale checkpoint cleared.
     """
 
     def __init__(self, config: ServiceConfig, resume: bool = False) -> None:
@@ -109,7 +113,7 @@ class SchedulerService:
     # ------------------------------------------------------------------
     def _recover(self) -> None:
         """Resume from checkpoint + write-ahead log (see class docstring)."""
-        payload = self.checkpointer.load()
+        payload = self.checkpointer.load_strict()
         horizon_seq = 1
         if payload is not None:
             self.state.restore(payload)
@@ -207,7 +211,8 @@ class SchedulerService:
 
     def placement_view(self) -> dict:
         with self.lock:
-            last = self.state.slot_records[-1] if self.state.slot_records else None
+            completed = len(self.state.arrivals_log)
+            last = self.state.slot_record(completed - 1) if completed else None
             return ok_body(
                 next_slot=self.state.sim.next_slot,
                 last_slot=last,
@@ -238,13 +243,10 @@ class SchedulerService:
 
     def slots_view(self, start: int = 0, count: Optional[int] = None) -> dict:
         with self.lock:
-            records = self.state.slot_records[start:]
-            if count is not None:
-                records = records[:count]
             return ok_body(
                 completed_slots=self.state.sim.next_slot,
                 start=start,
-                records=records,
+                records=self.state.slot_records(start, count),
             )
 
     def accounts_view(self) -> dict:

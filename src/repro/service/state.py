@@ -3,14 +3,15 @@
 :class:`ServiceConfig` is the frozen identity of one service instance —
 which environment trace it schedules against, which scheduler it runs,
 how intake is bounded.  Its digest keys the data directory, the
-write-ahead log and the ckpt-v1 checkpoint, so a restarted gateway can
+write-ahead log and the ckpt-v2 checkpoint, so a restarted gateway can
 only ever resume *its own* state.
 
 :class:`ServiceState` owns everything the ticker mutates: a
 :class:`~repro.simulation.simulator.Simulator` over the environment
-trace (queue network, metrics collector, scheduler), the accepted-arrival
-matrix and the per-slot records the query endpoints serve.  It is the
-bridge to the offline world in both directions:
+trace (queue network, metrics collector, scheduler) and the
+accepted-arrival log.  The per-slot records the query endpoints serve
+are built from those two on demand.  It is the bridge to the offline
+world in both directions:
 
 * the environment (availability, prices) comes from the same
   :class:`~repro.runner.spec.ScenarioSpec` factories the runner uses —
@@ -31,7 +32,7 @@ import numpy as np
 
 from repro._validation import require_integer, require_positive
 from repro.core.objective import CostModel
-from repro.resilient.checkpoint import Checkpointer
+from repro.resilient.checkpoint import Checkpointer, ColumnHistory
 from repro.runner.spec import ScenarioSpec, spec_digest
 from repro.schedulers import build_scheduler
 from repro.simulation.simulator import Simulator
@@ -163,8 +164,8 @@ class ServiceState:
     no fault injector) over the environment trace; the ticker advances
     it with ``sim.step`` on live arrivals, so a replay of the accepted
     arrivals reproduces the service bit for bit.  The additions —
-    arrival matrix, per-slot records, cumulative account work — exist to
-    answer queries and write checkpoints.
+    arrival log and cumulative account work — exist to answer queries
+    and write checkpoints.
     """
 
     def __init__(self, config: ServiceConfig) -> None:
@@ -183,8 +184,6 @@ class ServiceState:
         self.sim.reset()
         #: Accepted arrival vectors, one per completed slot (length J).
         self.arrivals_log: List[np.ndarray] = []
-        #: Query-facing per-slot records (JSON-encodable).
-        self.slot_records: List[dict] = []
         #: Cumulative eq. (3) work per account, for /v1/fairness.
         self.account_work = np.zeros(self.cluster.num_accounts)
 
@@ -207,7 +206,7 @@ class ServiceState:
 
         Running this through ``Simulator`` with a freshly built
         scheduler of the same registry name/kwargs must reproduce
-        :attr:`slot_records` bit-identically — the service's decisive
+        :meth:`slot_records` bit-identically — the service's decisive
         correctness property.
         """
         horizon = len(self.arrivals_log)
@@ -219,6 +218,28 @@ class ServiceState:
             availability=self.environment.availability[:horizon],
             prices=self.environment.prices[:horizon],
         )
+
+    def slot_record(self, t: int) -> dict:
+        """The query-facing (JSON-encodable) record of completed slot *t*."""
+        metrics = self.sim.metrics
+        return {
+            "slot": t,
+            "arrivals": [float(a) for a in self.arrivals_log[t]],
+            "energy_cost": metrics.energy_cost[t],
+            "fairness": metrics.fairness[t],
+            "combined_cost": metrics.combined_cost[t],
+            "served_jobs": metrics.served_jobs[t],
+            "work_per_dc": [float(w) for w in metrics.work_per_dc[t]],
+            "queue_total": float(metrics.queue_total[t]),
+            "queue_max": float(metrics.queue_max[t]),
+        }
+
+    def slot_records(self, start: int = 0, count: Optional[int] = None) -> List[dict]:
+        """Records of the completed slots ``[start:][:count]`` (list slicing)."""
+        slots = range(len(self.arrivals_log))[start:]
+        if count is not None:
+            slots = slots[:count]
+        return [self.slot_record(t) for t in slots]
 
     def fairness_view(self) -> dict:
         """Cumulative account work vs the configured fair shares."""
@@ -236,27 +257,23 @@ class ServiceState:
         }
 
     # ------------------------------------------------------------------
-    # Checkpoint integration (ckpt-v1)
+    # Checkpoint integration (ckpt-v2)
     # ------------------------------------------------------------------
     def checkpoint_payload(self, extra: Dict[str, Any]) -> Dict[str, Any]:
-        """The full resumable snapshot (service additions + sim state).
+        """The resumable snapshot (service additions + sim state).
 
-        *extra* carries the ingestion-side state (pending submissions,
-        last acknowledged sequence, rate-limiter levels, counters) the
-        app layer owns.
+        The per-slot history — metrics rows, each with that slot's
+        accepted arrivals appended — goes in as ``history``, which the
+        checkpointer journals once.  *extra* carries the ingestion-side
+        state (pending submissions, last acknowledged sequence,
+        rate-limiter levels, counters) the app layer owns.
         """
         sim = self.sim
         return {
-            "next_slot": int(sim.next_slot),
-            "scheduler_name": sim.scheduler.name,
+            **sim.snapshot(),
             "config_digest": self.config.digest,
-            "queues": sim.queues,
-            "metrics": sim.metrics,
-            "scheduler": sim.scheduler,
-            "arrivals_log": [a.copy() for a in self.arrivals_log],
-            "slot_records": list(self.slot_records),
+            "history": ColumnHistory([*sim.metrics.series(), self.arrivals_log]),
             "account_work": self.account_work.copy(),
-            "admitted_total": float(sim.admitted_total),
             **extra,
         }
 
@@ -267,6 +284,5 @@ class ServiceState:
                 "checkpoint belongs to a differently-configured service"
             )
         self.sim.restore(payload)
-        self.arrivals_log = [np.asarray(a) for a in payload["arrivals_log"]]
-        self.slot_records = list(payload["slot_records"])
+        self.arrivals_log = [row[-1] for row in payload["history"]]
         self.account_work = np.asarray(payload["account_work"], dtype=np.float64)

@@ -8,7 +8,7 @@ bit-identical to an offline replay of its accepted-arrival log.
 
 :class:`SlotTicker` wraps that step with scheduling (manual ticks
 for tests and CI, a wall-clock thread for real serving), the shared
-service lock, and the ckpt-v1 checkpoint cadence.  Blocking waits live
+service lock, and the ckpt-v2 checkpoint cadence.  Blocking waits live
 only in the pacing loop, never in the tick path (staticcheck GF009
 enforces this).
 """
@@ -45,21 +45,8 @@ def tick_once(state: ServiceState, arrivals: np.ndarray) -> dict:
     arrivals = np.asarray(arrivals, dtype=np.float64)
     action = sim.step(arrivals)
     state.account_work += action.account_work(state.cluster)
-    metrics = sim.metrics
-    record = {
-        "slot": t,
-        "arrivals": [float(a) for a in arrivals],
-        "energy_cost": metrics.energy_cost[-1],
-        "fairness": metrics.fairness[-1],
-        "combined_cost": metrics.combined_cost[-1],
-        "served_jobs": metrics.served_jobs[-1],
-        "work_per_dc": [float(w) for w in metrics.work_per_dc[-1]],
-        "queue_total": float(metrics.queue_total[-1]),
-        "queue_max": float(metrics.queue_max[-1]),
-    }
     state.arrivals_log.append(arrivals.copy())
-    state.slot_records.append(record)
-    return record
+    return state.slot_record(t)
 
 
 class SlotTicker:
@@ -75,7 +62,7 @@ class SlotTicker:
     limiter:
         The rate limiter, snapshotted into every checkpoint.
     checkpointer:
-        ckpt-v1 schedule from ``ServiceConfig.checkpointer()``; a save
+        ckpt-v2 schedule from ``ServiceConfig.checkpointer()``; a save
         lands after every ``every`` completed slots.
     lock:
         The service-wide lock shared with the query endpoints, so
@@ -124,7 +111,11 @@ class SlotTicker:
         return records
 
     def save_checkpoint(self) -> None:
-        """Write one consistent ckpt-v1 snapshot (state + ingestion)."""
+        """Write one consistent ckpt-v2 checkpoint (state + ingestion).
+
+        The slots completed since the last save are appended to the
+        history journal; the snapshot itself has a fixed size.
+        """
         with self.lock:
             pending, next_seq, counters = self.ingestor.freeze()
             payload = self.state.checkpoint_payload(
@@ -135,9 +126,9 @@ class SlotTicker:
                     "ratelimit": self.limiter.state(),
                 }
             )
-            # A consistent snapshot needs model + ingestion frozen under
-            # the service lock while the atomic file write lands; the
-            # cost is bounded (one pickle per --checkpoint-every slots).
+            # A consistent checkpoint needs model + ingestion frozen
+            # under the service lock while the journal append and the
+            # atomic snapshot write land.
             self.checkpointer.save(payload)  # staticcheck: ignore[GF012] -- checkpoint atomicity requires the write under the service lock; cadence-bounded
 
     # ------------------------------------------------------------------

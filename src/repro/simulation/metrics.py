@@ -9,7 +9,7 @@ exposes both the raw series and the running averages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -106,6 +106,25 @@ class MetricsCollector:
         self.front_completed.append(float(stats.front_completed.sum()))
 
     # ------------------------------------------------------------------
+    # Checkpoint rows (see repro.resilient.checkpoint)
+    # ------------------------------------------------------------------
+    def series(self) -> list:
+        """The per-slot series lists, in checkpoint-row order."""
+        return [getattr(self, name) for name in _SERIES]
+
+    @classmethod
+    def from_rows(cls, num_datacenters: int, rows) -> "MetricsCollector":
+        """Rebuild a collector from checkpoint rows, one per slot.
+
+        Each row starts with one value per :meth:`series` list; extra
+        trailing values (the service appends its arrivals) are ignored.
+        """
+        collector = cls(num_datacenters)
+        for name, column in zip(_SERIES, zip(*rows)):
+            setattr(collector, name, list(column))
+        return collector
+
+    # ------------------------------------------------------------------
     # Series accessors
     # ------------------------------------------------------------------
     @property
@@ -189,3 +208,7 @@ class MetricsCollector:
             total_evicted_jobs=float(evicted),
             total_requeued_jobs=float(requeued),
         )
+
+
+#: The per-slot series of a :class:`MetricsCollector`.
+_SERIES = tuple(f.name for f in fields(MetricsCollector) if f.name != "num_datacenters")

@@ -20,7 +20,12 @@ from repro.model.action import Action
 from repro.model.queues import QueueNetwork
 from repro.obs.events import SlotTraceEvent
 from repro.obs.registry import metrics_registry
-from repro.resilient.checkpoint import CheckpointError, Checkpointer, SimulationKilled
+from repro.resilient.checkpoint import (
+    CheckpointError,
+    Checkpointer,
+    ColumnHistory,
+    SimulationKilled,
+)
 from repro.schedulers.base import Scheduler
 from repro.simulation.metrics import MetricsCollector, SimulationSummary
 from repro.simulation.trace import Scenario
@@ -113,12 +118,15 @@ class Simulator:
     def restore(self, snapshot: dict) -> None:
         """Adopt the run state of a :meth:`snapshot`.
 
-        A payload without ``admission``/``injector`` keeps the
-        instance's own; one without ``dropped`` has dropped nothing.
+        The metrics are rebuilt from the ``history`` rows.  A payload
+        without ``admission``/``injector`` keeps the instance's own; one
+        without ``dropped`` has dropped nothing.
         """
         self.next_slot = int(snapshot["next_slot"])
         self.queues = snapshot["queues"]
-        self.metrics = snapshot["metrics"]
+        self.metrics = MetricsCollector.from_rows(
+            self.scenario.cluster.num_datacenters, snapshot["history"]
+        )
         self.scheduler = snapshot["scheduler"]
         self.admission = snapshot.get("admission", self.admission)
         self.injector = snapshot.get("injector", self.injector)
@@ -126,12 +134,16 @@ class Simulator:
         self.admitted_total = float(snapshot["admitted_total"])
 
     def snapshot(self) -> dict:
-        """Everything :meth:`step` mutates (see resilient.checkpoint)."""
+        """Everything :meth:`step` mutates (see resilient.checkpoint).
+
+        The metrics go in as ``history`` rows, which a checkpoint
+        journals once instead of pickling them on every save.
+        """
         return {
             "next_slot": int(self.next_slot),
             "scheduler_name": self.scheduler.name,
             "queues": self.queues,
-            "metrics": self.metrics,
+            "history": ColumnHistory(self.metrics.series()),
             "scheduler": self.scheduler,
             "admission": self.admission,
             "injector": self.injector,
@@ -244,16 +256,17 @@ class Simulator:
         """Simulate *horizon* slots (default: the whole scenario).
 
         With a :class:`~repro.resilient.checkpoint.Checkpointer` the
-        full run state is snapshotted atomically after every
-        ``checkpointer.every`` completed slots (and the snapshot is
-        removed again when the run finishes).  With ``resume=True`` and
-        a usable snapshot on disk, the run restores every stateful
-        object — queues, metrics, scheduler (including RNG state),
-        admission policy, fault injector — and continues from the next
-        slot; because the restored state is exactly the uninterrupted
-        run's state at that slot, the final metrics and trace are
-        bit-identical to never having been interrupted.  Observers see
-        only post-resume slots.
+        run state is checkpointed after every ``checkpointer.every``
+        completed slots — the new metrics rows appended to the history
+        journal, the fixed-size rest snapshotted atomically — and both
+        files are removed again when the run finishes.  With
+        ``resume=True`` and a usable snapshot on disk, the run restores
+        every stateful object — queues, metrics, scheduler (including
+        RNG state), admission policy, fault injector — and continues
+        from the next slot; because the restored state is exactly the
+        uninterrupted run's state at that slot, the final metrics and
+        trace are bit-identical to never having been interrupted.
+        Observers see only post-resume slots.
         """
         scenario = self.scenario
         if horizon is None:

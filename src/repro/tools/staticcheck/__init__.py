@@ -20,8 +20,8 @@ GF006    Runner routing: experiment/analysis modules never instantiate
          ``Simulator`` directly — runs go through :mod:`repro.runner`.
 GF007    Solver supervision: raw ``prob.solve`` calls stay inside the
          supervised fallback chain (:mod:`repro.solving`).
-GF008    Checkpoint discipline: state snapshots go through the ckpt-v1
-         schema helpers, never ad-hoc pickles.
+GF008    Solver routing: scheduler/experiment code calls the solver
+         backends through :mod:`repro.resilient`, never directly.
 GF009    Tick-path latency: no blocking I/O (sleep, sockets, file
          reads) inside the slot-tick/solve path.
 GF010    Guarded fields: attributes annotated ``# guarded-by:

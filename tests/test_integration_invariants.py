@@ -1,8 +1,11 @@
 """System-level invariants: Little's law, idle-power accounting, and
-the empirical Theorem 1 queue bound on randomized slack scenarios."""
+the empirical Theorem 1 queue bound on randomized slack scenarios and
+on the paper scenario."""
 
 import numpy as np
 import pytest
+
+from repro._contracts import queue_bound_observer
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +18,7 @@ from repro.model.cluster import Cluster
 from repro.model.datacenter import DataCenter
 from repro.model.job import Account, JobType
 from repro.model.server import ServerClass
-from repro.scenarios import small_scenario
+from repro.scenarios import paper_scenario, small_scenario
 from repro.schedulers import AlwaysScheduler
 from repro.simulation.simulator import Simulator
 from repro.simulation.trace import Scenario
@@ -111,3 +114,26 @@ class TestEmpiricalQueueBound:
         result = Simulator(scn, GreFarScheduler(scn.cluster, v=v)).run()
         bound = constants.queue_bound(v, report.max_delta)
         assert result.summary.max_queue_length <= bound
+
+    @pytest.mark.parametrize("v", [0.1, 2.5, 7.5, 20.0])
+    def test_queue_bound_on_the_paper_scenario(self, v):
+        """Theorem 1a on the paper scenario, checked every slot.
+
+        The bound ``V*C3/delta`` is loose by three orders of magnitude
+        here (max queue ~96 against ~3e5), so it only catches a
+        diverging queue, not a merely worse schedule.
+        """
+        scn = paper_scenario(horizon=300, seed=1)
+        report = check_slackness(scn.cluster, scn.arrivals, scn.availability)
+        assert report.feasible
+        constants = TheoremConstants.from_scenario(
+            scn.cluster,
+            max_arrivals=scn.arrivals.max(axis=0),
+            price_cap=float(scn.prices.max()),
+        )
+        bound = constants.queue_bound(v, report.max_delta)
+        Simulator(
+            scn,
+            GreFarScheduler(scn.cluster, v=v),
+            observers=[queue_bound_observer(bound, force=True)],
+        ).run()

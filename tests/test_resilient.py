@@ -8,8 +8,10 @@ Four surfaces, one promise each:
 * **guards** — NaN/Inf/negative inputs are caught before
   :class:`ClusterState` construction under the raise/clamp/hold
   policies, with every repair counted;
-* **checkpoint** — snapshots are atomic and schema-versioned, and a
-  kill-and-resume run is bit-identical to an uninterrupted one;
+* **checkpoint** — snapshots are atomic and schema-versioned, the
+  history journal is appended once per save and survives a kill
+  between append and snapshot, and a kill-and-resume run is
+  bit-identical to an uninterrupted one;
 * **chaos** — with the primary backend failing on a large fraction of
   slots the simulator still completes with a feasible action every slot.
 """
@@ -27,7 +29,9 @@ from repro.optimize import SolverFailure, solve_lp
 from repro.optimize.slot_problem import SlotServiceProblem
 from repro.resilient import (
     BACKENDS,
+    CheckpointError,
     Checkpointer,
+    ColumnHistory,
     FlakyBackend,
     GuardViolation,
     SimulationKilled,
@@ -35,6 +39,7 @@ from repro.resilient import (
     SupervisedSolver,
     chain_for,
     checkpoint_path,
+    journal_path,
     load_checkpoint,
     run_chaos_drill,
     sanitize_state,
@@ -47,6 +52,7 @@ from repro.resilient.checkpoint import CHECKPOINT_SCHEMA
 from repro.scenarios import small_cluster, small_scenario
 from repro.schedulers import AlwaysScheduler
 from repro.core.grefar import GreFarScheduler
+from repro.simulation.metrics import MetricsCollector
 from repro.simulation.simulator import Simulator
 
 try:
@@ -636,7 +642,7 @@ def test_checkpointer_validation(tmp_path):
 def test_checkpoint_schema_constant_is_stable():
     # Resume compatibility hinges on this tag; changing it must be a
     # deliberate, test-visible act.
-    assert CHECKPOINT_SCHEMA == "ckpt-v1"
+    assert CHECKPOINT_SCHEMA == "ckpt-v2"
 
 
 # ----------------------------------------------------------------------
@@ -712,3 +718,102 @@ def test_resume_without_checkpoint_runs_fresh(tmp_path):
         resume=True,
     )
     assert resumed == baseline
+
+
+# ----------------------------------------------------------------------
+# History journal (ckpt-v2)
+# ----------------------------------------------------------------------
+def _history_payload(columns, **extra):
+    return {"history": ColumnHistory(columns), **extra}
+
+
+def test_history_is_journalled_once_and_loaded_as_rows(tmp_path):
+    ckpt = Checkpointer(key="journal", directory=tmp_path)
+    series, other = [1.0, 2.0], ["a", "b"]
+    ckpt.save(_history_payload([series, other], n=2))
+    first = journal_path(ckpt.path).stat().st_size
+    series.append(3.0)
+    other.append("c")
+    ckpt.save(_history_payload([series, other], n=3))
+    # The second save appended one frame holding only the new row.
+    grown = journal_path(ckpt.path).stat().st_size - first
+    assert 0 < grown < first
+    loaded = Checkpointer(key="journal", directory=tmp_path).load()
+    assert loaded == {"n": 3, "history": [(1.0, "a"), (2.0, "b"), (3.0, "c")]}
+    ckpt.clear()
+    assert list(tmp_path.iterdir()) == []
+
+
+def _fail_nth_replace(monkeypatch, n):
+    """Make the *n*-th ``os.replace`` in resilient.checkpoint raise once.
+
+    That is a kill after the journal append, before the snapshot
+    replace: the journal holds rows no snapshot claims.
+    """
+    from repro.resilient import checkpoint as module
+
+    real = module.os.replace
+    calls = []
+
+    def replace(src, dst):
+        calls.append(dst)
+        if len(calls) == n:
+            raise OSError("killed between journal append and snapshot replace")
+        return real(src, dst)
+
+    monkeypatch.setattr(module.os, "replace", replace)
+
+
+def _assert_same_metrics(live, reference):
+    for name in MetricsCollector.__dataclass_fields__:
+        a, b = getattr(live, name), getattr(reference, name)
+        if isinstance(b, list):
+            assert len(a) == len(b), name
+            assert all(np.array_equal(x, y) for x, y in zip(a, b)), name
+        else:
+            assert a == b, name
+
+
+def test_crash_between_journal_append_and_snapshot_replace(tmp_path, monkeypatch):
+    """The unclaimed journal tail is ignored, overwritten, and harmless."""
+    from repro.schedulers import RandomRoutingScheduler
+
+    def run(checkpointer=None, resume=False):
+        scenario = small_scenario(horizon=50, seed=6)
+        scheduler = RandomRoutingScheduler(scenario.cluster, seed=17)
+        return Simulator(scenario, scheduler).run(
+            checkpointer=checkpointer, resume=resume
+        )
+
+    baseline = run()
+    _fail_nth_replace(monkeypatch, 4)  # the save after slot 20
+    with pytest.raises(CheckpointError):
+        run(checkpointer=Checkpointer(key="torn", every=5, directory=tmp_path))
+    monkeypatch.undo()
+    ckpt = Checkpointer(key="torn", directory=tmp_path)
+    assert len(ckpt.load()["history"]) == 15
+
+    # Resume, save over the stale tail, die again, resume to the end.
+    with pytest.raises(SimulationKilled):
+        run(
+            checkpointer=Checkpointer(key="torn", every=5, kill_at=30, directory=tmp_path),
+            resume=True,
+        )
+    assert len(ckpt.load()["history"]) == 30
+    resumed = run(checkpointer=ckpt, resume=True)
+    assert resumed.summary.as_dict() == baseline.summary.as_dict()
+    _assert_same_metrics(resumed.metrics, baseline.metrics)
+    assert not ckpt.path.exists() and not journal_path(ckpt.path).exists()
+
+
+def test_short_journal_is_corrupt(tmp_path):
+    stats = stats_registry()
+    ckpt = Checkpointer(key="short", directory=tmp_path)
+    ckpt.save(_history_payload([[1.0, 2.0, 3.0]]))
+    journal = journal_path(ckpt.path)
+    journal.write_bytes(journal.read_bytes()[:-3])
+    before = stats.counter("resilient.checkpoint.corrupt")
+    assert ckpt.load() is None
+    assert stats.counter("resilient.checkpoint.corrupt") == before + 1
+    with pytest.raises(CheckpointError, match="history journal"):
+        ckpt.load_strict()

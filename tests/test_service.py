@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import pickle
 import threading
 import urllib.error
 import urllib.request
@@ -32,6 +33,7 @@ import pytest
 from repro.core.objective import CostModel
 from repro.obs.events import InMemorySink, SlotTraceEvent
 from repro.obs.registry import metrics_registry, stats_registry
+from repro.resilient import CheckpointError, journal_path
 from repro.scenarios import small_scenario
 from repro.schedulers import build_scheduler
 from repro.service import (
@@ -43,6 +45,7 @@ from repro.service import (
     ServiceClientError,
     ServiceConfig,
     ServiceHTTPServer,
+    ServiceState,
     SubmissionLog,
     SubmissionRecord,
     TokenBucket,
@@ -409,7 +412,7 @@ def test_offline_replay_is_bit_identical(tmp_path, beta):
         else:
             assert offline == live, field.name
     offline = result.metrics.work_per_dc_series()
-    live = np.stack([r["work_per_dc"] for r in state.slot_records])
+    live = np.stack([r["work_per_dc"] for r in state.slot_records()])
     assert np.array_equal(offline, live)
     # GreFar emits physical actions: neither run trimmed a decision.
     assert [stats.counter(name) for name in CLIP_COUNTERS] == clips_before
@@ -424,7 +427,7 @@ def test_service_ticks_emit_slot_telemetry(tmp_path):
         service = SchedulerService(make_config(tmp_path, data_dir=data_dir))
         _drive(service, REPLAY_SCHEDULE)
         service.shutdown()
-        return service.state.slot_records
+        return service.state.slot_records()
 
     registry = metrics_registry()
     was_enabled = registry.enabled
@@ -483,7 +486,7 @@ def test_checkpoint_resume_in_process_no_acked_loss(tmp_path):
     assert resumed.ingestor.buffer.pending_jobs == sum(c for _, _, c in batch2)
     resumed.ticker.tick(3)
 
-    assert resumed.state.slot_records == reference.state.slot_records
+    assert resumed.state.slot_records() == reference.state.slot_records()
     assert resumed.state.sim.next_slot == reference.state.sim.next_slot == 6
     total_jobs = sum(c for _, _, c in batch1 + batch2)
     assert resumed.state.sim.admitted_total == total_jobs
@@ -517,6 +520,122 @@ def test_fresh_start_rotates_log_and_clears_checkpoint(tmp_path):
     assert second.ingestor.buffer.pending_jobs == 0
     assert config.wal_path.with_suffix(".jsonl.old").exists()
     second.shutdown()
+
+
+def test_resume_refuses_an_unusable_checkpoint(tmp_path):
+    """A stale checkpoint must not restart the service at slot 0.
+
+    Restarting would re-stage every logged submission, ticked ones
+    included, and rewrite slot history clients have already read.
+    """
+    config = make_config(tmp_path, checkpoint_every=1)
+    path = config.checkpointer().path
+    path.parent.mkdir(parents=True)
+    path.write_bytes(
+        pickle.dumps({"schema": "ckpt-v1", "key": config.checkpoint_key, "payload": {}})
+    )
+    with pytest.raises(CheckpointError, match=r"ckpt-v1.*ckpt-v2") as excinfo:
+        SchedulerService(config, resume=True)
+    assert str(path) in str(excinfo.value)
+
+
+def test_serve_reports_an_unusable_checkpoint_in_one_line(monkeypatch, capsys):
+    import repro.service
+    from repro.cli import main
+
+    def refuse(*args, **kwargs):
+        raise CheckpointError("checkpoint x.ckpt is unusable: schema 'ckpt-v1'")
+
+    monkeypatch.setattr(repro.service, "serve", refuse)
+    assert main(["serve", "--resume"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: checkpoint x.ckpt is unusable: schema 'ckpt-v1'\n"
+
+
+def test_crash_between_journal_append_and_snapshot_replace(tmp_path, monkeypatch):
+    """A save killed after its journal append resumes bit-identically.
+
+    The journal then holds a slot the snapshot does not claim; resume
+    ignores it, re-stages that slot's submissions from the write-ahead
+    log, and the next save overwrites the stale journal tail.
+    """
+    from repro.resilient import checkpoint as module
+
+    schedule = REPLAY_SCHEDULE * 2
+    reference = SchedulerService(make_config(tmp_path, data_dir=str(tmp_path / "ref")))
+    _drive(reference, schedule)
+
+    config = make_config(tmp_path, checkpoint_every=1)
+    victim = SchedulerService(config)
+    _drive(victim, schedule[:4])
+    real_replace = module.os.replace
+
+    def killed(src, dst):
+        raise OSError("killed between journal append and snapshot replace")
+
+    monkeypatch.setattr(module.os, "replace", killed)
+    with pytest.raises(CheckpointError):
+        _drive(victim, schedule[4:5])
+    monkeypatch.setattr(module.os, "replace", real_replace)
+    victim.log.close()
+    del victim
+
+    resumed = SchedulerService(config, resume=True)
+    assert resumed.resumed_from_slot == 4
+    resumed.ticker.tick(1)  # slot 4, from the re-staged submissions
+    _drive(resumed, schedule[5:])
+    assert resumed.state.slot_records() == reference.state.slot_records()
+    for field in dataclasses.fields(MetricsCollector):
+        live = getattr(resumed.state.sim.metrics, field.name)
+        offline = getattr(reference.state.sim.metrics, field.name)
+        if isinstance(offline, list):
+            assert len(live) == len(offline) == len(schedule), field.name
+            assert all(np.array_equal(a, b) for a, b in zip(live, offline)), field.name
+        else:
+            assert live == offline, field.name
+    resumed.shutdown()
+    restored = ServiceState(config)
+    restored.restore(config.checkpointer().load())
+    assert restored.slot_records() == reference.state.slot_records()
+    reference.shutdown()
+
+
+def test_checkpoint_bytes_per_save_do_not_grow_with_slots(tmp_path, monkeypatch):
+    """Bytes one save writes at slot 2000 stay within 1.5x of slot 100.
+
+    A save writes the fixed-size snapshot plus the journal rows of the
+    slots since the previous save, so it does not grow with the run.
+    It is not flat to 10%: the queue network's DelayStats keeps delay
+    histograms in the snapshot, which grow with the largest delay seen
+    (1.4 to 3.3 KB over 2000 paper-scenario slots) — bounded by the
+    largest delay, not by the number of slots.
+    """
+    horizon = 2000
+    arrivals = small_scenario(horizon=horizon, seed=0).arrivals
+    config = make_config(
+        tmp_path, capacity_slots=horizon, checkpoint_every=10, rate=1e9, burst=1e9
+    )
+    service = SchedulerService(config)
+    checkpointer = service.checkpointer
+    journal = journal_path(checkpointer.path)
+    save = checkpointer.save
+    written = {}
+
+    def measured(payload):
+        before = journal.stat().st_size if journal.exists() else 0
+        path = save(payload)
+        grown = journal.stat().st_size - before
+        written[payload["next_slot"]] = path.stat().st_size + grown
+        return path
+
+    monkeypatch.setattr(checkpointer, "save", measured)
+    for row in arrivals:
+        for job_type, count in enumerate(row):
+            if count > 0:
+                _submit_ok(service, job_type, job_type, int(count))
+        service.ticker.tick(1)
+    assert written[horizon] <= 1.5 * written[100], (written[100], written[horizon])
+    service.shutdown()
 
 
 def test_capacity_exhaustion_is_a_409_not_a_crash(tmp_path):

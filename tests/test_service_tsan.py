@@ -90,7 +90,7 @@ def test_full_drill_zero_reports_and_bit_identical_replay(tmp_path, tsan_on):
     assert result.metrics.energy_cost == state.sim.metrics.energy_cost
     assert result.metrics.combined_cost == state.sim.metrics.combined_cost
     offline = result.metrics.work_per_dc_series()
-    live = np.stack([r["work_per_dc"] for r in state.slot_records])
+    live = np.stack([r["work_per_dc"] for r in state.slot_records()])
     assert np.array_equal(offline, live)
 
     service.shutdown()
