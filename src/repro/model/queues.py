@@ -251,33 +251,36 @@ class QueueNetwork:
     # Dynamics
     # ------------------------------------------------------------------
     def clip_to_content(self, action: Action) -> Action:
-        """Return a *physical* copy of *action*: never overdraw a queue.
+        """Return a *physical* version of *action*: never overdraw a queue.
 
         Routing of each type is reduced (largest senders last) so the
         total routed does not exceed ``Q_j(t)``, keeping integrality.
         Service is clipped to the data center queue contents.  A call
         that reduces either adds one to the stats counter
-        ``sim.clip.route`` or ``sim.clip.serve``.
+        ``sim.clip.route`` or ``sim.clip.serve``; a call that reduces
+        nothing returns *action* itself.
         """
-        r = np.array(action.route)
-        h = np.minimum(action.serve, self._dc)
-        if (h < action.serve).any():
+        serve_over = (action.serve > self._dc).any()
+        excess = action.route.sum(axis=0) - np.floor(self._front + 1e-9)
+        route_over = (excess > 0).any()
+        if not (serve_over or route_over):
+            return action
+        h = action.serve
+        if serve_over:
             stats_registry().counter_add("sim.clip.serve")
-        trimmed = False
-        for j in range(self._cluster.num_job_types):
-            excess = r[:, j].sum() - np.floor(self._front[j] + 1e-9)
-            if excess <= 0:
-                continue
-            trimmed = True
+            h = np.minimum(h, self._dc)
+        if route_over:
+            stats_registry().counter_add("sim.clip.route")
+        r = np.array(action.route)
+        for j in np.flatnonzero(excess > 0):
+            excess_j = excess[j]
             order = np.argsort(-r[:, j])
             for i in order:
-                take = min(r[i, j], excess)
+                take = min(r[i, j], excess_j)
                 r[i, j] -= take
-                excess -= take
-                if excess <= 0:
+                excess_j -= take
+                if excess_j <= 0:
                     break
-        if trimmed:
-            stats_registry().counter_add("sim.clip.route")
         return Action(r, h, action.busy)
 
     def evict_dc(self, dc: int) -> np.ndarray:
@@ -348,12 +351,12 @@ class QueueNetwork:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    # The ledgers and delay histograms hold Python floats (``tolist``,
+    # ``float``), never numpy scalars: same values, far cheaper pickles.
     def _apply_service(self, h: np.ndarray, t: int) -> np.ndarray:
         served = np.zeros_like(self._dc)
-        n, j = self._dc.shape
-        for i in range(n):
-            for jj in range(j):
-                want = h[i, jj]
+        for i, row in enumerate(h.tolist()):
+            for jj, want in enumerate(row):
                 if want <= _EPS:
                     continue
                 got = self._drain_ledger(self._dc_ledger[(i, jj)], want, t, i, jj)
@@ -364,21 +367,18 @@ class QueueNetwork:
 
     def _apply_routing(self, r: np.ndarray, t: int) -> np.ndarray:
         routed = np.zeros_like(r)
-        n, j = r.shape
-        for jj in range(j):
+        for jj in range(r.shape[1]):
             total_want = r[:, jj].sum()
             if total_want <= _EPS:
                 continue
             available = self._front[jj]
-            drained = self._drain_front_ledger(jj, min(total_want, available), t)
+            drained = self._drain_front_ledger(
+                jj, float(min(total_want, available)), t
+            )
             # Allocate the really-drained jobs to sites proportionally to
             # the requested split (exactly r for physical actions).
-            if total_want > _EPS:
-                share = r[:, jj] / total_want
-            else:
-                share = np.zeros(n)
-            for i in range(n):
-                count = drained * share[i]
+            for i, share in enumerate((r[:, jj] / total_want).tolist()):
+                count = drained * share
                 if count <= _EPS:
                     continue
                 self._dc_ledger[(i, jj)].append([float(t), count])

@@ -49,9 +49,9 @@ from repro.resilient.guards import (
 from repro.resilient.supervisor import (
     BACKENDS,
     DEFAULT_CHAINS,
+    MAX_INCIDENTS,
     SolveOutcome,
     SolverIncident,
-    SolverPolicy,
     SupervisedSolver,
     chain_for,
     default_supervisor,
@@ -72,10 +72,10 @@ __all__ = [
     "GUARD_POLICIES",
     "GuardIncident",
     "GuardViolation",
+    "MAX_INCIDENTS",
     "SimulationKilled",
     "SolveOutcome",
     "SolverIncident",
-    "SolverPolicy",
     "SupervisedSolver",
     "chain_for",
     "checkpoint_path",

@@ -5,14 +5,17 @@ crashed LP on slot 4711 of a week-long heavy-traffic run must not lose
 the horizon.  :class:`SupervisedSolver` wraps the
 :mod:`repro.optimize` backends with that guarantee:
 
-1. run the configured backend (optionally under a retry budget and an
-   enforced wall-clock budget — see :class:`SolverPolicy.timeout`),
-2. validate the returned action — finite, feasible after
+1. run the configured backend once,
+2. check its answer once — right shape, finite, and feasible (at
+   tolerance 1e-6) after one
    :meth:`~repro.optimize.slot_problem.SlotServiceProblem.clip_feasible`,
-   and clip-idempotent,
 3. on any failure, record a structured :class:`SolverIncident` and
    degrade down an explicit fallback chain, e.g. ``lp -> greedy ->
    zero``.
+
+A clip that alters a backend's finite answer is counted as
+``resilient.clip.changed``.  Only with ``REPRO_CONTRACTS=1`` is the
+clipped answer re-clipped to check ``clip_feasible`` is idempotent.
 
 The terminal ``"zero"`` backend returns the all-zeros service matrix,
 which is feasible for every slot problem, so the chain cannot run dry.
@@ -22,12 +25,6 @@ which is feasible for every slot problem, so the chain cannot run dry.
 unsupervised call sites used to produce — so supervision changes no
 decision on healthy inputs (asserted by the golden-trace tests).
 
-**Determinism.** The default policy has ``timeout=None``: a wall-clock
-budget makes decisions depend on machine load, which would break the
-runner's bit-identity and golden-trace guarantees.  Opt into a timeout
-only for interactive or exploratory runs; the ``timeout=None`` path
-runs no watchdog thread and is byte-identical to the unbudgeted solve.
-
 Incidents are counted on the always-on stats registry
 (:func:`repro.obs.registry.stats_registry`) under ``resilient.*`` and
 mirrored to the hot-path metrics registry when telemetry is on.
@@ -35,13 +32,12 @@ mirrored to the hot-path metrics registry when telemetry is on.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro._validation import require_integer
+from repro._contracts import ContractViolation, contracts_enabled
 from repro.obs.registry import metrics_registry, stats_registry
 from repro.optimize import SolverFailure, solve_greedy, solve_lp, solve_qp
 from repro.optimize.slot_problem import SlotServiceProblem
@@ -49,9 +45,9 @@ from repro.optimize.slot_problem import SlotServiceProblem
 __all__ = [
     "BACKENDS",
     "DEFAULT_CHAINS",
+    "MAX_INCIDENTS",
     "SolveOutcome",
     "SolverIncident",
-    "SolverPolicy",
     "SupervisedSolver",
     "chain_for",
     "default_supervisor",
@@ -90,6 +86,11 @@ DEFAULT_CHAINS: Dict[str, Tuple[str, ...]] = {
     "qp": ("qp", "greedy", "zero"),
     "zero": ("zero",),
 }
+
+#: Cap on each supervisor's retained incident log (oldest dropped first)
+#: so a pathological run cannot grow memory without bound.  Counters on
+#: the stats registry keep exact totals regardless.
+MAX_INCIDENTS = 1000
 
 ChainEntry = Union[str, Callable[[SlotServiceProblem], np.ndarray]]
 
@@ -132,20 +133,18 @@ class SolverIncident:
     """One failed solve attempt, as recorded by the supervisor.
 
     ``reason`` is a short category (``"raised"``, ``"non-finite"``,
-    ``"infeasible"``, ``"clip-unstable"``, ``"timeout"``); ``detail``
-    carries the human-readable specifics (exception text, solver status
-    message).
+    ``"infeasible"``); ``detail`` carries the human-readable specifics
+    (exception text, solver status message).
     """
 
     slot: Optional[int]
     backend: str
-    attempt: int
     reason: str
     detail: str = ""
 
     def render(self) -> str:
         where = f"slot {self.slot}" if self.slot is not None else "slot ?"
-        text = f"[{where}] {self.backend} attempt {self.attempt}: {self.reason}"
+        text = f"[{where}] {self.backend}: {self.reason}"
         if self.detail:
             text += f" ({self.detail})"
         return text
@@ -165,44 +164,6 @@ class SolveOutcome:
     incidents: Tuple[SolverIncident, ...] = ()
 
 
-@dataclass(frozen=True)
-class SolverPolicy:
-    """Supervision knobs.
-
-    Parameters
-    ----------
-    retries:
-        Extra attempts per backend before degrading to the next chain
-        entry (0 = one attempt each).  Deterministic backends fail
-        identically on retry; the budget exists for stochastic or
-        external backends.
-    timeout:
-        Optional *enforced* wall-clock budget in seconds across the
-        whole chain.  Non-terminal attempts run on a daemon watchdog
-        thread and are abandoned once the remaining budget is spent —
-        a runaway backend cannot stall the slot — recording a
-        ``"timeout"`` incident and degrading down the chain; the
-        deadline is also checked between attempts.  The terminal entry
-        always runs unthreaded so the chain is guaranteed to produce a
-        result.  **Default None** (no thread, no budget): any timeout
-        makes decisions load-dependent, which breaks the bit-identity
-        guarantees (golden trace, serial/parallel, resume) — opt in
-        only where determinism does not matter.
-    feasibility_tol:
-        Tolerance handed to
-        :meth:`~repro.optimize.slot_problem.SlotServiceProblem.is_feasible`.
-    """
-
-    retries: int = 0
-    timeout: Optional[float] = None
-    feasibility_tol: float = 1e-6
-
-    def __post_init__(self) -> None:
-        require_integer(self.retries, "retries", minimum=0)
-        if self.timeout is not None and not self.timeout > 0:
-            raise ValueError(f"timeout must be positive or None, got {self.timeout}")
-
-
 class SupervisedSolver:
     """Run slot solves under supervision with an explicit fallback chain.
 
@@ -212,21 +173,12 @@ class SupervisedSolver:
         Optional fixed chain of backend names and/or callables.  When
         ``None`` (default) the chain is resolved per call from the
         ``primary`` argument via :func:`chain_for`.
-    policy:
-        A :class:`SolverPolicy`; defaults to the deterministic policy
-        (no timeout, no retries).
-    max_incidents:
-        Cap on the retained incident log (oldest dropped first) so a
-        pathological run cannot grow memory without bound.  Counters on
-        the stats registry keep exact totals regardless.
+
+    Every chain entry gets one attempt.  The retained incident log is
+    capped at :data:`MAX_INCIDENTS` entries.
     """
 
-    def __init__(
-        self,
-        chain: Optional[Sequence[ChainEntry]] = None,
-        policy: Optional[SolverPolicy] = None,
-        max_incidents: int = 1000,
-    ) -> None:
+    def __init__(self, chain: Optional[Sequence[ChainEntry]] = None) -> None:
         self.chain: Optional[Tuple[ChainEntry, ...]] = (
             tuple(chain) if chain is not None else None
         )
@@ -235,10 +187,6 @@ class SupervisedSolver:
         if self.chain is not None:
             for entry in self.chain:
                 _entry_callable(entry)  # validate names eagerly
-        self.policy = policy if policy is not None else SolverPolicy()
-        self.max_incidents = require_integer(
-            max_incidents, "max_incidents", minimum=1
-        )
         self.incidents: List[SolverIncident] = []
 
     # ------------------------------------------------------------------
@@ -260,72 +208,43 @@ class SupervisedSolver:
         """Solve *problem*, degrading down the chain until a valid ``h``.
 
         Returns a :class:`SolveOutcome`; never raises for a backend
-        failure.  Only a defect in the terminal zero action itself (or
-        ``KeyboardInterrupt``/``SystemExit``) can escape.
+        failure.  Only a defect in the terminal zero action itself, a
+        :class:`~repro._contracts.ContractViolation` under
+        ``REPRO_CONTRACTS=1``, or ``KeyboardInterrupt``/``SystemExit``
+        can escape.
         """
         chain = self.chain if self.chain is not None else chain_for(primary)
-        policy = self.policy
-        reg = stats_registry()
-        deadline = None
-        if policy.timeout is not None:
-            deadline = reg.clock() + policy.timeout
         call_incidents: List[SolverIncident] = []
-        last_index = len(chain) - 1
         for position, entry in enumerate(chain):
             label = _entry_label(entry)
-            backend = _entry_callable(entry)
-            attempts = 1 if position == last_index else 1 + policy.retries
-            for attempt in range(1, attempts + 1):
-                if (
-                    deadline is not None
-                    and position != last_index
-                    and reg.clock() > deadline
-                ):
-                    self._record(
-                        call_incidents,
-                        SolverIncident(
-                            slot=slot,
-                            backend=label,
-                            attempt=attempt,
-                            reason="timeout",
-                            detail=f"budget of {policy.timeout:g}s exhausted",
-                        ),
-                    )
-                    break  # skip to the next (eventually terminal) entry
-                # Enforce the remaining budget on non-terminal attempts;
-                # the terminal entry always runs unthreaded so the chain
-                # is guaranteed to return.
-                budget = None
-                if deadline is not None and position != last_index:
-                    budget = deadline - reg.clock()
-                failure = self._attempt(problem, backend, policy, budget)
-                if not isinstance(failure, _Failure):
-                    h = failure
-                    degraded = position > 0
-                    if degraded:
-                        reg.counter_add("resilient.fallbacks")
-                        reg.counter_add(f"resilient.fallback.{label}")
-                        if label == "zero":
-                            reg.counter_add("resilient.zero_actions")
-                    return SolveOutcome(
-                        h=h,
-                        backend=label,
-                        degraded=degraded,
-                        incidents=tuple(call_incidents),
-                    )
+            result = self._attempt(problem, _entry_callable(entry))
+            if isinstance(result, _Failure):
                 self._record(
                     call_incidents,
                     SolverIncident(
                         slot=slot,
                         backend=label,
-                        attempt=attempt,
-                        reason=failure.reason,
-                        detail=failure.detail,
+                        reason=result.reason,
+                        detail=result.detail,
                     ),
                 )
+                continue
+            degraded = position > 0
+            if degraded:
+                reg = stats_registry()
+                reg.counter_add("resilient.fallbacks")
+                reg.counter_add(f"resilient.fallback.{label}")
+                if label == "zero":
+                    reg.counter_add("resilient.zero_actions")
+            return SolveOutcome(
+                h=result,
+                backend=label,
+                degraded=degraded,
+                incidents=tuple(call_incidents),
+            )
         # Unreachable with a well-formed chain: the zero action is
-        # always finite, feasible and clip-stable.  Fail loudly if a
-        # custom chain lacks a working terminal entry.
+        # always finite and feasible.  Fail loudly if a custom chain
+        # lacks a working terminal entry.
         raise SolverFailure(
             _entry_label(chain[-1]),
             f"every backend in chain {tuple(_entry_label(e) for e in chain)} failed",
@@ -333,24 +252,16 @@ class SupervisedSolver:
         )
 
     # ------------------------------------------------------------------
-    def _attempt(self, problem, backend, policy, budget=None):
-        """One backend attempt: run, clip, validate.
+    def _attempt(self, problem, backend):
+        """One backend attempt: run, clip, check.
 
-        With a *budget* (seconds) the backend runs on a daemon watchdog
-        thread and is abandoned once the budget is spent.  Returns the
-        validated ``h`` on success, a :class:`_Failure` otherwise.
+        The one check of a backend result: shape, finite, one
+        ``clip_feasible`` and one ``is_feasible`` at its default
+        tolerance of 1e-6.  Returns the clipped ``h`` on success, a
+        :class:`_Failure` otherwise.
         """
         try:
-            if budget is None:
-                raw = backend(problem)
-            else:
-                raw = _call_with_budget(backend, problem, budget)
-        except (KeyboardInterrupt, SystemExit):  # pragma: no cover
-            raise
-        except _AttemptTimeout:
-            return _Failure(
-                "timeout", f"attempt abandoned after {budget:g}s budget"
-            )
+            raw = backend(problem)
         except SolverFailure as exc:
             return _Failure("raised", str(exc))
         except Exception as exc:  # noqa: BLE001 - supervision boundary
@@ -364,17 +275,21 @@ class SupervisedSolver:
         if not np.all(np.isfinite(raw)):
             return _Failure("non-finite", "backend returned NaN/Inf entries")
         h = problem.clip_feasible(raw)
-        if not problem.is_feasible(h, tol=policy.feasibility_tol):
+        if not np.array_equal(h, raw):
+            stats_registry().counter_add("resilient.clip.changed")
+        if not problem.is_feasible(h):
             return _Failure("infeasible", "clipped solution violates constraints")
-        if not np.allclose(problem.clip_feasible(h), h, rtol=0.0, atol=1e-9):
-            return _Failure("clip-unstable", "clip_feasible is not idempotent here")
+        if contracts_enabled() and not np.allclose(
+            problem.clip_feasible(h), h, rtol=0.0, atol=1e-9
+        ):
+            raise ContractViolation("clip_feasible is not idempotent here")
         return h
 
     def _record(self, call_incidents, incident: SolverIncident) -> None:
         call_incidents.append(incident)
         self.incidents.append(incident)
-        if len(self.incidents) > self.max_incidents:
-            del self.incidents[: -self.max_incidents]
+        if len(self.incidents) > MAX_INCIDENTS:
+            del self.incidents[:-MAX_INCIDENTS]
         stats = stats_registry()
         stats.counter_add("resilient.incidents")
         stats.counter_add(f"resilient.failures.{incident.backend}")
@@ -389,39 +304,6 @@ class _Failure:
 
     reason: str
     detail: str = ""
-
-
-class _AttemptTimeout(Exception):
-    """Internal: a budgeted attempt outlived its wall-clock budget."""
-
-
-def _call_with_budget(backend, problem, budget):
-    """Run ``backend(problem)`` on a daemon thread, bounded by *budget*.
-
-    The abandoned thread cannot be killed — it is daemonized and its
-    eventual result is discarded — but the caller regains control after
-    at most *budget* seconds, which is the property the supervision
-    chain needs.  Exceptions from the backend are re-raised here so the
-    caller's handling is identical to the unbudgeted path.
-    """
-    box: dict = {}
-
-    def _run() -> None:
-        try:
-            box["value"] = backend(problem)
-        except BaseException as exc:  # noqa: BLE001 - relayed to caller
-            box["error"] = exc
-
-    thread = threading.Thread(
-        target=_run, name="repro-solver-attempt", daemon=True
-    )
-    thread.start()
-    thread.join(max(budget, 0.0))
-    if thread.is_alive():
-        raise _AttemptTimeout
-    if "error" in box:
-        raise box["error"]
-    return box["value"]
 
 
 # ----------------------------------------------------------------------

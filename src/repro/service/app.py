@@ -40,6 +40,7 @@ from typing import Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from repro.obs.registry import metrics_registry, stats_registry
+from repro.resilient.checkpoint import CheckpointError
 from repro.service.ingest import IntakeBuffer, Ingestor, SubmissionLog
 from repro.service.ratelimit import AccountRateLimiter
 from repro.service.state import ServiceConfig, ServiceState
@@ -388,6 +389,17 @@ class _Handler(BaseHTTPRequestHandler):
                 self._reply(404, error_body("not_found", f"no route {path}"))
         except WireError as exc:
             self._reply(exc.status, error_body(exc.code, exc.detail))
+        except CheckpointError as exc:
+            # A tick's slots stay applied when its save fails; tell the
+            # client where the instance now stands.
+            self._reply(
+                500,
+                error_body(
+                    "checkpoint_failed",
+                    str(exc),
+                    next_slot=service.state.sim.next_slot,
+                ),
+            )
 
 
 class ServiceHTTPServer(ThreadingHTTPServer):

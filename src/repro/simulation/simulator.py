@@ -57,8 +57,11 @@ class Simulator:
         measure energy and fairness separately regardless of the
         scheduler's own beta.
     validate:
-        If True, validate every action against the paper constraints
-        (slower; used in tests).
+        If True, check every applied action against the paper
+        constraints and raise
+        :class:`~repro._contracts.ContractViolation` on the first
+        infeasible one (slower; used by the chaos drill and tests).
+        ``REPRO_CONTRACTS=1`` turns the same check on for every run.
     enforce_physical:
         If True (default), clip actions so queues are never overdrawn
         before applying the dynamics.  Shipped schedulers already emit
@@ -182,11 +185,8 @@ class Simulator:
             action = injector.filter_action(t, action, state)
         if self.enforce_physical:
             action = queues.clip_to_content(action)
-        if self.validate:
-            action.validate(cluster, state)
-        elif contracts_enabled():
-            # Same checks, framed as a runtime contract (eqs. 4, 5,
-            # 11 feasibility of the applied action) — REPRO_CONTRACTS=1.
+        if self.validate or contracts_enabled():
+            # Eqs. 4, 5 and 11 feasibility of the applied action.
             verify_action_capacity(cluster, state, action)
         if self.admission is not None:
             admitted = self.admission.admit(t, arrivals, queues, cluster)

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.core.grefar import GreFarScheduler
 from repro.model.action import Action
 from repro.model.queues import DelayStats, QueueNetwork
+from repro.scenarios import paper_scenario
+from repro.simulation.simulator import Simulator
 
 
 def _action(cluster, route=None, serve=None):
@@ -198,6 +201,29 @@ class TestHelpers:
         clipped = q.clip_to_content(_action(cluster, serve=serve))
         assert clipped.serve[0, 0] == pytest.approx(2.0)
         assert clipped.serve[1, 1] == pytest.approx(0.0)
+
+    def test_clip_to_content_returns_physical_action_itself(self, cluster):
+        q = QueueNetwork(cluster)
+        q.step(_action(cluster), np.array([3.0, 0.0]), t=0)
+        route = np.zeros((2, 2))
+        route[0, 0] = 2.0
+        action = _action(cluster, route=route)
+        assert q.clip_to_content(action) is action
+
+    def test_bookkeeping_holds_python_floats(self):
+        # Numpy scalars in the ledgers or histograms pickle one by one;
+        # Python floats carry the same values far more cheaply.
+        scenario = paper_scenario(horizon=300, seed=0)
+        queues = Simulator(scenario, GreFarScheduler(scenario.cluster, v=7.5)).run().queues
+        stats = queues.stats
+        values = list(stats.front_delay_histogram.values())
+        for hist in stats.dc_delay_histogram:
+            values.extend(hist.values())
+        ledgers = [*queues._front_ledger, *queues._dc_ledger.values()]
+        counts = [batch[1] for ledger in ledgers for batch in ledger]
+        assert values and counts
+        assert {type(v) for v in values} == {float}
+        assert {type(c) for c in counts} == {float}
 
 
 class TestDelayStats:

@@ -18,11 +18,10 @@ Four surfaces, one promise each:
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 import pytest
 
+from repro._contracts import ContractViolation
 from repro.model.state import ClusterState
 from repro.obs.registry import stats_registry
 from repro.optimize import SolverFailure, solve_lp
@@ -35,7 +34,6 @@ from repro.resilient import (
     FlakyBackend,
     GuardViolation,
     SimulationKilled,
-    SolverPolicy,
     SupervisedSolver,
     chain_for,
     checkpoint_path,
@@ -49,7 +47,7 @@ from repro.resilient import (
     solve_zero,
 )
 from repro.resilient.checkpoint import CHECKPOINT_SCHEMA
-from repro.scenarios import small_cluster, small_scenario
+from repro.scenarios import paper_scenario, small_cluster, small_scenario
 from repro.schedulers import AlwaysScheduler
 from repro.core.grefar import GreFarScheduler
 from repro.simulation.metrics import MetricsCollector
@@ -161,24 +159,12 @@ def test_exhausted_custom_chain_raises_solver_failure():
         solver.solve(random_problem(3))
 
 
-def test_retry_budget_counts_attempts():
-    problem = random_problem(4)
-    flaky = FlakyBackend(backend="greedy", failure_rate=1.0, seed=1)
-    solver = SupervisedSolver(
-        chain=(flaky, "greedy", "zero"), policy=SolverPolicy(retries=2)
-    )
-    outcome = solver.solve(problem)
-    # Non-terminal entries get 1 + retries attempts before degrading.
-    assert [i.attempt for i in outcome.incidents] == [1, 2, 3]
-    assert flaky.calls == 3
-    assert outcome.backend == "greedy"
-
-
-def test_incident_log_is_capped_but_counters_are_exact():
+def test_incident_log_is_capped_but_counters_are_exact(monkeypatch):
+    monkeypatch.setattr("repro.resilient.supervisor.MAX_INCIDENTS", 3)
     problem = random_problem(5)
     stats = stats_registry()
     stats.reset("resilient.")
-    solver = SupervisedSolver(chain=(_always_fail, "zero"), max_incidents=3)
+    solver = SupervisedSolver(chain=(_always_fail, "zero"))
     for _ in range(5):
         solver.solve(problem)
     assert solver.incident_count == 3
@@ -199,59 +185,6 @@ def test_unknown_backend_rejected_everywhere():
         SupervisedSolver(chain=())
 
 
-def test_policy_validation():
-    with pytest.raises(ValueError):
-        SolverPolicy(retries=-1)
-    with pytest.raises(ValueError, match="timeout must be positive"):
-        SolverPolicy(timeout=0.0)
-
-
-def _sleepy(problem):
-    time.sleep(5.0)
-    from repro.optimize import solve_greedy
-
-    return solve_greedy(problem)
-
-
-_sleepy.name = "sleepy"
-
-
-def test_timeout_budget_abandons_attempt_and_degrades():
-    """``SolverPolicy.timeout`` is an enforced chain-wide budget.
-
-    A primary that burns the whole budget is abandoned on its watchdog
-    thread; with the budget spent, the supervisor skips the remaining
-    non-terminal entries and jumps to the terminal ``"zero"`` action.
-    The solve returns in ~the budget, not the backend's 5 s sleep.
-    """
-    problem = random_problem(6)
-    solver = SupervisedSolver(
-        chain=(_sleepy, "greedy", "zero"), policy=SolverPolicy(timeout=0.2)
-    )
-    start = time.perf_counter()
-    outcome = solver.solve(problem, slot=2)
-    elapsed = time.perf_counter() - start
-    assert elapsed < 2.0
-    assert outcome.degraded
-    assert outcome.backend == "zero"
-    assert np.array_equal(outcome.h, np.zeros_like(problem.h_upper))
-    assert [i.reason for i in outcome.incidents] == ["timeout", "timeout"]
-    assert "abandoned" in outcome.incidents[0].detail
-    assert "exhausted" in outcome.incidents[1].detail
-
-
-def test_timeout_with_slack_keeps_primary_result():
-    problem = random_problem(8)
-    direct = SupervisedSolver().solve(problem, primary="greedy", slot=1)
-    budgeted = SupervisedSolver(policy=SolverPolicy(timeout=30.0)).solve(
-        problem, primary="greedy", slot=1
-    )
-    assert np.array_equal(budgeted.h, direct.h)
-    assert budgeted.backend == "greedy"
-    assert not budgeted.degraded
-    assert budgeted.incidents == ()
-
-
 def test_chain_for_callable_gets_standard_tail():
     assert chain_for(_always_fail) == (_always_fail, "greedy", "zero")
     assert chain_for("lp") == ("lp", "greedy", "zero")
@@ -262,6 +195,64 @@ def test_zero_backend_is_always_feasible():
     h = solve_zero(problem)
     assert problem.is_feasible(h)
     assert np.array_equal(problem.clip_feasible(h), h)
+
+
+# ----------------------------------------------------------------------
+# Supervisor: the one check, its clip counter, the idempotence contract
+# ----------------------------------------------------------------------
+def _oversized(problem):
+    return problem.h_upper + 1.0
+
+
+_oversized.name = "oversized"
+
+
+def test_clip_changed_counts_altered_backend_results():
+    problem = random_problem(10)
+    stats = stats_registry()
+    stats.reset("resilient.")
+    SupervisedSolver().solve(problem, primary="greedy")
+    assert "resilient.clip.changed" not in stats.counters()
+    outcome = SupervisedSolver(chain=(_oversized, "zero")).solve(problem)
+    assert outcome.backend == "oversized" and not outcome.degraded
+    assert np.array_equal(outcome.h, problem.clip_feasible(_oversized(problem)))
+    assert stats.counters()["resilient.clip.changed"] == 1
+
+
+@pytest.mark.parametrize(
+    "scenario_kind,beta",
+    [("golden", 0.0), ("paper", 0.0), ("paper", 100.0)],
+)
+def test_healthy_runs_never_clip_a_backend_result(scenario_kind, beta):
+    # The backends return feasible answers, so the supervisor's clip is
+    # the identity on every slot of a healthy run.
+    if scenario_kind == "golden":  # tests/test_golden_trace.py's run
+        scenario, v = small_scenario(horizon=40, seed=11), 5.0
+    else:
+        scenario, v = paper_scenario(horizon=120, seed=0), 7.5
+    stats = stats_registry()
+    stats.reset("resilient.")
+    scheduler = GreFarScheduler(scenario.cluster, v=v, beta=beta)
+    Simulator(scenario, scheduler).run()
+    assert scheduler.supervisor.incident_count == 0
+    assert stats.counter("resilient.clip.changed") == 0
+
+
+def test_non_idempotent_clip_is_a_contract_violation(monkeypatch):
+    problem = random_problem(11)
+    real_clip = SlotServiceProblem.clip_feasible
+
+    def halving_clip(self, h):
+        return 0.5 * real_clip(self, h)
+
+    monkeypatch.setattr(SlotServiceProblem, "clip_feasible", halving_clip)
+    monkeypatch.setenv("REPRO_CONTRACTS", "1")
+    with pytest.raises(ContractViolation, match="not idempotent"):
+        SupervisedSolver().solve(problem, primary="greedy")
+    # Off the hot path: without contracts the clipped answer is served.
+    monkeypatch.setenv("REPRO_CONTRACTS", "0")
+    outcome = SupervisedSolver().solve(problem, primary="greedy")
+    assert outcome.backend == "greedy" and not outcome.degraded
 
 
 # ----------------------------------------------------------------------
@@ -508,6 +499,18 @@ if HAVE_HYPOTHESIS:
         assert np.all(np.isfinite(outcome.h))
         assert problem.is_feasible(outcome.h)
         assert len(outcome.incidents) == flaky.failures
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000), scale=st.floats(-1.0, 4.0))
+    def test_clip_feasible_is_idempotent(seed, scale):
+        problem = random_problem(seed % 64)
+        rng = np.random.default_rng(seed)
+        raw = scale * rng.uniform(-0.5, 1.0, size=problem.h_upper.shape)
+        once = problem.clip_feasible(raw * (problem.h_upper + 1.0))
+        assert problem.is_feasible(once)
+        np.testing.assert_allclose(
+            problem.clip_feasible(once), once, rtol=0.0, atol=1e-9
+        )
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -788,6 +788,41 @@ def test_http_malformed_body_is_400_not_500(live_gateway):
     assert body["error"] == "bad_json"
 
 
+@pytest.mark.parametrize("path", ["/v1/admin/tick", "/v1/admin/checkpoint"])
+def test_http_failed_checkpoint_gets_a_json_500(tmp_path, monkeypatch, path):
+    from repro.resilient import checkpoint as module
+
+    service = SchedulerService(make_config(tmp_path, checkpoint_every=1))
+    server = ServiceHTTPServer(("127.0.0.1", 0), service)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
+    thread.start()
+    client = ServiceClient(f"http://127.0.0.1:{server.server_address[1]}", timeout=10.0)
+    try:
+        if path == "/v1/admin/checkpoint":
+            client.tick(1)
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(module.os, "replace", failing_replace)
+        with pytest.raises(ServiceClientError) as excinfo:
+            client.post(path, {"slots": 1} if path == "/v1/admin/tick" else {})
+        assert excinfo.value.status == 500
+        assert excinfo.value.code == "checkpoint_failed"
+        assert "disk full" in excinfo.value.body["detail"]
+        assert excinfo.value.body["next_slot"] == 1
+        assert client.health()["next_slot"] == 1
+    finally:
+        server.shutdown()
+        server.server_close()
+        monkeypatch.undo()
+        service.shutdown()
+        thread.join(timeout=5.0)
+    assert not thread.is_alive()
+
+
 def test_http_shutdown_endpoint_stops_server(tmp_path):
     config = make_config(tmp_path)
     service = SchedulerService(config)
