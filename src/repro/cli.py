@@ -475,8 +475,7 @@ def _cmd_lint(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    """Profile one run with telemetry on; optionally emit a baseline."""
-    from repro.obs.baseline import write_baseline
+    """Profile one run with telemetry on; print its timer table."""
     from repro.obs.profile import profile_run, render_hot_path_table
     from repro.scenarios import small_scenario
     from repro.schedulers import build_scheduler
@@ -501,9 +500,6 @@ def _cmd_profile(args) -> int:
     print(render_hot_path_table(report))
     if args.trace:
         print(f"trace: {len(report.events)} slot events -> {args.trace}")
-    if not args.no_baseline:
-        path = write_baseline([report], path=args.output)
-        print(f"baseline: {path}")
     return 0
 
 
@@ -693,16 +689,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--seed", type=int, default=0)
     profile.add_argument(
         "--trace", default=None, help="also stream per-slot trace events (JSONL)"
-    )
-    profile.add_argument(
-        "--output",
-        default=None,
-        help="baseline file path (default: BENCH_<date>.json in the cwd)",
-    )
-    profile.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="print the table only; write no BENCH_*.json",
     )
 
     exp = sub.add_parser("experiment", help="regenerate a paper table/figure")

@@ -118,9 +118,7 @@ class GreFarScheduler(Scheduler):
         state = self.prepare_state(state)
         front = queues.front
         dc = queues.dc
-        reg = metrics_registry()
-        with reg.span("grefar.route"):
-            route = self._route(front, dc, state.capacities(self.cluster))
+        route = self._route(front, dc, state.capacities(self.cluster))
         problem = self._problem(state, dc)
         h = self._solve(problem, t)
         return Action(route, h, problem.busy_for(h))

@@ -36,7 +36,6 @@ import numpy as np
 from repro._contracts import checked_step
 from repro.model.action import Action
 from repro.model.cluster import Cluster
-from repro.obs.instruments import timed
 from repro.obs.registry import stats_registry
 
 __all__ = ["DelayStats", "QueueNetwork"]
@@ -311,7 +310,6 @@ class QueueNetwork:
         return counts
 
     @checked_step
-    @timed("queues.step")
     def step(self, action: Action, arrivals: np.ndarray, t: int) -> dict:
         """Advance one slot: apply service, routing, then arrivals.
 

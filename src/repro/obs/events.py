@@ -48,9 +48,6 @@ class SlotTraceEvent:
         Electricity cost ``e(t)`` of the applied action.
     served_jobs:
         Jobs actually completed this slot (ledger-drained).
-    cache:
-        Runner cache disposition for the enclosing run (``"hit"``,
-        ``"miss"`` or empty when not runner-launched).
     """
 
     slot: int
@@ -64,7 +61,6 @@ class SlotTraceEvent:
     solve_seconds: float = 0.0
     energy_cost: float = 0.0
     served_jobs: float = 0.0
-    cache: str = ""
 
     def to_dict(self) -> Dict[str, Any]:
         return asdict(self)
@@ -83,7 +79,6 @@ class SlotTraceEvent:
             solve_seconds=float(payload.get("solve_seconds", 0.0)),
             energy_cost=float(payload.get("energy_cost", 0.0)),
             served_jobs=float(payload.get("served_jobs", 0.0)),
-            cache=str(payload.get("cache", "")),
         )
 
 

@@ -5,8 +5,9 @@ run: it enables the metrics registry, attaches an in-memory trace sink
 (plus an optional JSONL sink), runs the simulation, and freezes
 everything the instrumented hot paths recorded into a
 :class:`ProfileReport`.  ``render_hot_path_table`` turns the report into
-the per-phase table ``repro profile`` prints; the report also feeds the
-benchmark-baseline pipeline (:mod:`repro.obs.baseline`).
+the timer table ``repro profile`` prints.  The report is printed, never
+written: the performance reference is the ``BENCH_<date>.json`` that
+``perfbench/`` records (``benchmarks/bench_gate.py``).
 
 The registry is reset on entry and restored to its previous
 enabled/disabled state on exit, so profiling a scenario from a session
@@ -49,30 +50,6 @@ class ProfileReport:
             if stat.name == name:
                 return stat
         return TimerStat(name=name, calls=0, total_seconds=0.0)
-
-    def to_dict(self) -> dict:
-        """The JSON-ready view the baseline pipeline embeds."""
-        payload: dict = {
-            "scenario": self.scenario,
-            "scheduler": self.scheduler,
-            "horizon": self.horizon,
-            "wall_seconds": self.wall_seconds,
-            "slots_per_second": self.slots_per_second,
-            "timers": {
-                stat.name: {
-                    "calls": stat.calls,
-                    "total_seconds": stat.total_seconds,
-                }
-                for stat in self.timers
-            },
-            "counters": dict(self.counters),
-        }
-        if self.summary is not None:
-            payload["summary"] = {
-                "avg_energy_cost": float(self.summary.avg_energy_cost),
-                "avg_total_delay": float(self.summary.avg_total_delay),
-            }
-        return payload
 
 
 def profile_run(
@@ -134,12 +111,13 @@ def profile_run(
 
 
 def render_hot_path_table(report: ProfileReport) -> str:
-    """The per-phase hot-path table ``repro profile`` prints.
+    """The timer table ``repro profile`` prints.
 
     One row per timer, slowest total first, with the share of the
-    run's wall time each phase accounts for.  Nested spans overlap
-    (``sim.slot`` contains ``sim.decide`` contains ``grefar.solve``),
-    so the percentage column is a coverage map, not a partition.
+    run's wall time each accounts for.  ``sim.slot`` contains
+    ``grefar.solve``, so the percentage column is a coverage map, not a
+    partition; ``perfbench/run.py --trace 1`` reports true per-layer
+    self-times.
     """
     from repro.analysis import format_table
 

@@ -2,9 +2,10 @@
 
 Two registry instances back the whole observability layer:
 
-* the **metrics registry** (:func:`metrics_registry`) instruments the
-  hot paths — solver backends, ``GreFarScheduler`` decisions,
-  ``QueueNetwork.step``, the simulator slot loop.  It starts *disabled*
+* the **metrics registry** (:func:`metrics_registry`) carries the
+  decision telemetry — the ``sim.slot`` and ``grefar.solve`` timers,
+  the ``grefar.solver.<backend>`` counters, the per-decision solve note
+  and the per-slot trace events.  It starts *disabled*
   (unless ``REPRO_OBS=1``) and every mutating method returns
   immediately while disabled, so instrumented code pays one attribute
   read per call site and a run with telemetry off is decision- and
@@ -17,9 +18,10 @@ Two registry instances back the whole observability layer:
   are rare, so this registry is always enabled.
 
 This module is the one place in ``src/repro`` allowed to read the
-performance clock directly; everything else goes through
-:meth:`Registry.clock`, the :mod:`repro.obs.instruments` helpers or a
-:meth:`Registry.span` (enforced by staticcheck rule GF007).
+performance clock directly; everything else reads :meth:`Registry.clock`
+and records through :meth:`Registry.timer_add` (enforced by staticcheck
+rule GF007).  Per-layer self-times are ``perfbench/``'s business: its
+tracer wraps each layer from outside, so nothing here nests.
 """
 
 from __future__ import annotations
@@ -55,32 +57,6 @@ class TimerStat:
     @property
     def mean_seconds(self) -> float:
         return self.total_seconds / self.calls if self.calls else 0.0
-
-
-class _Span:
-    """Context manager timing one block into a registry timer.
-
-    A span created on a disabled registry never reads the clock; the
-    enabled check happens at ``__enter__`` so toggling mid-span cannot
-    record a partial interval.
-    """
-
-    __slots__ = ("_registry", "_name", "_start")
-
-    def __init__(self, registry: "Registry", name: str) -> None:
-        self._registry = registry
-        self._name = name
-        self._start: Optional[float] = None
-
-    def __enter__(self) -> "_Span":
-        if self._registry.enabled:
-            self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        if self._start is not None and self._registry.enabled:
-            self._registry.timer_add(self._name, time.perf_counter() - self._start)
-        self._start = None
 
 
 class Registry:
@@ -173,10 +149,6 @@ class Registry:
         """Every timer, slowest total first (ties broken by name)."""
         stats = [self.timer(name) for name in self._timers]
         return sorted(stats, key=lambda s: (-s.total_seconds, s.name))
-
-    def span(self, name: str) -> _Span:
-        """A ``with``-block timer; free (no clock read) while disabled."""
-        return _Span(self, name)
 
     # ------------------------------------------------------------------
     # Gauges

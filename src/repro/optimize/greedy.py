@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.obs.instruments import timed
 from repro.optimize.slot_problem import SlotServiceProblem
 
 __all__ = ["greedy_walk", "solve_greedy"]
@@ -92,7 +91,6 @@ def greedy_walk(
     return h, cost
 
 
-@timed("solve.greedy")
 def solve_greedy(problem: SlotServiceProblem) -> np.ndarray:
     """Exactly minimize the beta = 0 slot objective; return ``h``.
 

@@ -22,14 +22,12 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import linprog
 
-from repro.obs.instruments import timed
 from repro.optimize import SolverFailure
 from repro.optimize.slot_problem import SlotServiceProblem
 
 __all__ = ["solve_lp"]
 
 
-@timed("solve.lp")
 def solve_lp(problem: SlotServiceProblem) -> np.ndarray:
     """Solve the beta = 0 slot problem with scipy's HiGHS LP; return ``h``."""
     if problem.beta > 0:

@@ -36,7 +36,6 @@ import dataclasses
 
 import numpy as np
 
-from repro.obs.instruments import timed
 from repro.obs.registry import metrics_registry, stats_registry
 from repro.optimize.greedy import greedy_walk, solve_greedy
 from repro.optimize.lp import solve_lp
@@ -52,7 +51,6 @@ _LINE_SEARCH_STEPS = 60
 _FLAT = 1e-10
 
 
-@timed("solve.qp")
 def solve_qp(
     problem: SlotServiceProblem,
     max_iterations: int = 100,

@@ -179,8 +179,7 @@ class Simulator:
             observed = injector.observed_state(t, state)
         else:
             observed = state
-        with reg.span("sim.decide"):
-            action = self.scheduler.decide(t, observed, queues)
+        action = self.scheduler.decide(t, observed, queues)
         if injector is not None:
             action = injector.filter_action(t, action, state)
         if self.enforce_physical:
@@ -202,16 +201,15 @@ class Simulator:
         for observer in self.observers:
             observer(t, state, action, queues)
         served_jobs = float(np.sum(outcome["served"]))
-        with reg.span("sim.metrics"):
-            cost = self.cost_model.evaluate(cluster, state, action)
-            self.metrics.record(
-                energy=cost.energy,
-                fairness=cost.fairness,
-                combined=cost.combined,
-                work_per_dc=action.work_served(cluster),
-                served_jobs=served_jobs,
-                queues=queues,
-            )
+        cost = self.cost_model.evaluate(cluster, state, action)
+        self.metrics.record(
+            energy=cost.energy,
+            fairness=cost.fairness,
+            combined=cost.combined,
+            work_per_dc=action.work_served(cluster),
+            served_jobs=served_jobs,
+            queues=queues,
+        )
         if reg.enabled:
             # Fold the scheduler's per-decision solve record (if it
             # left one) into this slot's structured trace event.

@@ -575,9 +575,9 @@ class PerfClockRule(Rule):
     A bare ``time.perf_counter()`` pair is telemetry the observability
     layer cannot see: it ignores the enabled/disabled gate (cost paid
     even when profiling is off), never lands in the hot-path table, and
-    each ad-hoc site re-invents accumulation.  ``Registry.clock()``,
-    the ``timed`` decorator and ``span`` blocks are the one timing
-    surface; only ``repro/obs/`` itself may touch the clock.
+    each ad-hoc site re-invents accumulation.  ``Registry.clock()``
+    read twice and recorded with ``Registry.timer_add`` is the one
+    timing surface; only ``repro/obs/`` itself may touch the clock.
     """
 
     id = "GF007"
@@ -585,7 +585,7 @@ class PerfClockRule(Rule):
     rationale = (
         "ad-hoc perf_counter() reads bypass the obs registry's "
         "enabled gate and never reach the hot-path profile; use "
-        "Registry.clock(), @timed or span()."
+        "Registry.clock() and record with Registry.timer_add()."
     )
 
     _HOME = "obs/"
@@ -611,8 +611,8 @@ class PerfClockRule(Rule):
                 yield (
                     node,
                     f"direct {canonical}() read outside repro/obs; use "
-                    "Registry.clock(), the timed decorator or a span() "
-                    "block so the measurement reaches the profile layer",
+                    "Registry.clock() and record with Registry.timer_add() "
+                    "so the measurement reaches the profile layer",
                 )
 
 

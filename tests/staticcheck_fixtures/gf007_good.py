@@ -1,19 +1,6 @@
 """GF007 self-test fixture: timing routed through repro.obs (must pass)."""
 
-from repro.obs.instruments import timed
 from repro.obs.registry import metrics_registry
-
-
-@timed("fixture.work")
-def decorated_work():
-    return sum(range(1000))
-
-
-def explicit_span():
-    registry = metrics_registry()
-    with registry.span("fixture.block"):
-        total = sum(range(1000))
-    return total
 
 
 def raw_clock_via_registry():

@@ -445,7 +445,7 @@ def test_service_ticks_emit_slot_telemetry(tmp_path):
         assert [event.slot for event in sink.events] == list(range(slots))
         assert all(isinstance(event, SlotTraceEvent) for event in sink.events)
         assert registry.timer("sim.slot").calls == slots
-        assert registry.timer("sim.decide").calls == slots
+        assert registry.timer("grefar.solve").calls == slots
     finally:
         registry.enabled = was_enabled
         registry.reset()
