@@ -38,17 +38,13 @@ from repro.fairness.quadratic import QuadraticFairness
 from repro.model.action import Action
 from repro.model.cluster import Cluster
 from repro.model.pricing import LinearPricing
-from repro.model.queues import QueueNetwork
+from repro.model.queues import QueueNetwork, whole_jobs
 from repro.model.state import ClusterState
 from repro.optimize.slot_problem import SlotServiceProblem
 from repro.resilient.supervisor import SupervisedSolver
 from repro.schedulers.base import Scheduler, service_upper_bounds
 
 __all__ = ["GreFarScheduler"]
-
-#: User-selectable per-slot backends (the supervisor's terminal "zero"
-#: fallback is not a scheduler choice).
-_SOLVER_NAMES = ("greedy", "lp", "qp")
 
 
 class GreFarScheduler(Scheduler):
@@ -65,9 +61,6 @@ class GreFarScheduler(Scheduler):
         Energy-fairness parameter ``beta >= 0`` of eq. (6).
     fairness:
         Fairness function; defaults to the paper's quadratic (eq. 3).
-    solver:
-        Per-slot service backend: ``"auto"`` (greedy when ``beta == 0``,
-        QP otherwise), ``"greedy"``, ``"lp"`` or ``"qp"``.
     physical:
         If True (default), never overdraw queues: routing is capped by
         central queue content and service by site queue content.  If
@@ -85,20 +78,13 @@ class GreFarScheduler(Scheduler):
         v: float = 1.0,
         beta: float = 0.0,
         fairness: FairnessFunction | None = None,
-        solver: str = "auto",
         physical: bool = True,
         pricing=None,
     ) -> None:
         super().__init__(cluster)
-        if solver != "auto" and solver not in _SOLVER_NAMES:
-            raise ValueError(
-                f"unknown solver {solver!r}; choose from "
-                f"{['auto', *sorted(_SOLVER_NAMES)]}"
-            )
         self.v = require_non_negative(v, "v")
         self.beta = require_non_negative(beta, "beta")
         self.fairness = fairness if fairness is not None else QuadraticFairness()
-        self.solver = solver
         self.physical = bool(physical)
         self.pricing = pricing if pricing is not None else LinearPricing()
         # Every slot solve runs supervised: a backend failure degrades
@@ -160,12 +146,12 @@ class GreFarScheduler(Scheduler):
                 for i in negatives:
                     route[i, j] = max_route[i, j]
                 continue
-            budget = float(np.floor(front[j] + 1e-9))
+            budget = float(whole_jobs(front[j]))
             # Most-negative coefficient first.
             for i in sorted(negatives, key=coefficient):
                 if budget <= 0:
                     break
-                take = float(np.floor(min(max_route[i, j], budget) + 1e-9))
+                take = float(whole_jobs(min(max_route[i, j], budget)))
                 if take <= 0:
                     continue
                 route[i, j] = take
@@ -189,9 +175,11 @@ class GreFarScheduler(Scheduler):
         )
 
     def select_backend(self) -> str:
-        """The solver backend name this scheduler will use for a slot."""
-        if self.solver != "auto":
-            return self.solver
+        """The solver backend this scheduler uses for a slot.
+
+        The QP backend when ``beta > 0``, the LP on memory-limited
+        clusters, the exact greedy otherwise.
+        """
         if self.beta > 0:
             return "qp"
         if self.cluster.has_memory_constraints:

@@ -11,6 +11,7 @@ cluster.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -20,6 +21,15 @@ from repro.model.job import Account, JobType
 from repro.model.server import ServerClass
 
 __all__ = ["Cluster"]
+
+#: The dataclass fields; everything else in ``__dict__`` is a cache.
+_FIELDS = ("server_classes", "datacenters", "job_types", "accounts")
+
+
+def _frozen(values) -> np.ndarray:
+    arr = np.array(values)
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
@@ -121,44 +131,53 @@ class Cluster:
         return len(self.accounts)
 
     # ------------------------------------------------------------------
-    # Derived static vectors
+    # Derived static arrays.  Each is built on first use, then kept and
+    # returned read-only; __getstate__ leaves them out of pickles.
     # ------------------------------------------------------------------
-    @property
+    def __getstate__(self) -> dict:
+        return {name: self.__dict__[name] for name in _FIELDS}
+
+    @cached_property
     def speeds(self) -> np.ndarray:
         """Length-``K`` vector of server speeds ``s_k``."""
-        return np.array([c.speed for c in self.server_classes])
+        return _frozen([c.speed for c in self.server_classes])
 
-    @property
+    @cached_property
     def active_powers(self) -> np.ndarray:
         """Length-``K`` vector of busy powers ``p_k``."""
-        return np.array([c.active_power for c in self.server_classes])
+        return _frozen([c.active_power for c in self.server_classes])
 
-    @property
+    @cached_property
+    def class_order(self) -> np.ndarray:
+        """Server classes by increasing energy per work ``p_k / s_k`` (stable)."""
+        return _frozen(np.argsort(self.active_powers / self.speeds, kind="stable"))
+
+    @cached_property
     def demands(self) -> np.ndarray:
         """Length-``J`` vector of job demands ``d_j``."""
-        return np.array([jt.demand for jt in self.job_types])
+        return _frozen([jt.demand for jt in self.job_types])
 
-    @property
+    @cached_property
     def fair_shares(self) -> np.ndarray:
         """Length-``M`` vector of fairness weights ``gamma_m``."""
-        return np.array([a.fair_share for a in self.accounts])
+        return _frozen([a.fair_share for a in self.accounts])
 
-    @property
+    @cached_property
     def memory_demands(self) -> np.ndarray:
         """Length-``J`` vector of per-job memory holds (footnote 3)."""
-        return np.array([jt.memory for jt in self.job_types])
+        return _frozen([jt.memory for jt in self.job_types])
 
-    @property
+    @cached_property
     def memory_capacities(self) -> np.ndarray:
         """Length-``N`` vector of site memory capacities (may be ``inf``)."""
-        return np.array([dc.memory_capacity for dc in self.datacenters])
+        return _frozen([dc.memory_capacity for dc in self.datacenters])
 
-    @property
+    @cached_property
     def ingress_costs(self) -> np.ndarray:
         """Length-``N`` vector of per-work routing (bandwidth) costs."""
-        return np.array([dc.ingress_cost for dc in self.datacenters])
+        return _frozen([dc.ingress_cost for dc in self.datacenters])
 
-    @property
+    @cached_property
     def has_memory_constraints(self) -> bool:
         """True iff any site memory cap could bind for any job type."""
         return bool(
@@ -166,37 +185,40 @@ class Cluster:
             and np.any(self.memory_demands > 0)
         )
 
-    @property
+    @cached_property
     def account_of_type(self) -> np.ndarray:
         """Length-``J`` int vector mapping job type ``j`` to account ``rho_j``."""
-        return np.array([jt.account for jt in self.job_types], dtype=np.int64)
+        return _frozen(np.array([jt.account for jt in self.job_types], dtype=np.int64))
 
-    def eligibility_matrix(self) -> np.ndarray:
-        """``(N, J)`` boolean matrix: ``[i, j]`` is True iff ``i in D_j``."""
+    @cached_property
+    def _eligibility(self) -> np.ndarray:
         mat = np.zeros((self.num_datacenters, self.num_job_types), dtype=bool)
         for j, jt in enumerate(self.job_types):
             for i in jt.eligible_dcs:
                 mat[i, j] = True
-        return mat
+        return _frozen(mat)
 
-    def account_matrix(self) -> np.ndarray:
-        """``(M, J)`` boolean matrix: ``[m, j]`` is True iff ``rho_j == m``."""
-        mat = np.zeros((self.num_accounts, self.num_job_types), dtype=bool)
-        for j, jt in enumerate(self.job_types):
-            mat[jt.account, j] = True
-        return mat
+    @cached_property
+    def _max_route(self) -> np.ndarray:
+        bounds = np.array([jt.max_route for jt in self.job_types], dtype=np.float64)
+        return _frozen(self._eligibility * bounds[np.newaxis, :])
+
+    @cached_property
+    def _max_service(self) -> np.ndarray:
+        bounds = np.array([jt.max_service for jt in self.job_types])
+        return _frozen(self._eligibility * bounds[np.newaxis, :])
+
+    def eligibility_matrix(self) -> np.ndarray:
+        """``(N, J)`` boolean matrix: ``[i, j]`` is True iff ``i in D_j``."""
+        return self._eligibility
 
     def max_route_matrix(self) -> np.ndarray:
         """``(N, J)`` matrix of routing bounds ``r_ij^max`` (0 if ineligible)."""
-        elig = self.eligibility_matrix()
-        bounds = np.array([jt.max_route for jt in self.job_types], dtype=np.float64)
-        return elig * bounds[np.newaxis, :]
+        return self._max_route
 
     def max_service_matrix(self) -> np.ndarray:
         """``(N, J)`` matrix of service bounds ``h_ij^max`` (0 if ineligible)."""
-        elig = self.eligibility_matrix()
-        bounds = np.array([jt.max_service for jt in self.job_types])
-        return elig * bounds[np.newaxis, :]
+        return self._max_service
 
     def max_total_capacity(self) -> float:
         """Peak systemwide work capacity per slot with all servers up."""

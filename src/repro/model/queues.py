@@ -38,9 +38,26 @@ from repro.model.action import Action
 from repro.model.cluster import Cluster
 from repro.obs.registry import stats_registry
 
-__all__ = ["DelayStats", "QueueNetwork"]
+__all__ = ["DelayStats", "QueueNetwork", "whole_jobs"]
 
 _EPS = 1e-12
+#: Slack that keeps float round-off from costing a whole job.
+_NUDGE = 1e-9
+
+
+def whole_jobs(x):
+    """Whole jobs in *x*: ``floor(x + 1e-9)``, elementwise for arrays.
+
+    The nudge turns a count like ``2.9999999999`` (float round-off of
+    3) into 3 whole jobs.  Each value where it changes the floor adds
+    one to the stats counter ``sim.floor.nudged``; a run with exact
+    integer queues never moves it.
+    """
+    whole = np.floor(x + _NUDGE)
+    nudged = np.count_nonzero(whole > x)
+    if nudged:
+        stats_registry().counter_add("sim.floor.nudged", float(nudged))
+    return whole
 
 
 @dataclass
@@ -260,7 +277,7 @@ class QueueNetwork:
         nothing returns *action* itself.
         """
         serve_over = (action.serve > self._dc).any()
-        excess = action.route.sum(axis=0) - np.floor(self._front + 1e-9)
+        excess = action.route.sum(axis=0) - whole_jobs(self._front)
         route_over = (excess > 0).any()
         if not (serve_over or route_over):
             return action

@@ -6,8 +6,10 @@
   any ``beta >= 0``, with a certified optimality gap.
 
 All backends consume a :class:`SlotServiceProblem` and return the
-service matrix ``h``; optimal busy counts follow from the site
-:class:`SupplyCurve` (cheapest-servers-first is always optimal).
+service matrix ``h``; optimal busy counts follow from its
+cheapest-first walk over the slot's work-capacity matrix
+(:meth:`SlotServiceProblem.busy_for`; cheapest-servers-first is always
+optimal).
 
 A backend that cannot produce a solution raises :class:`SolverFailure`
 carrying the slot context, so the supervision layer
@@ -46,7 +48,6 @@ class SolverFailure(RuntimeError):
 # SolverFailure must be defined before the backend imports below — the
 # backend modules import it from this (then partially initialized)
 # package.
-from repro.optimize.capacity import SupplyCurve, build_supply_curves  # noqa: E402
 from repro.optimize.greedy import solve_greedy  # noqa: E402
 from repro.optimize.lp import solve_lp  # noqa: E402
 from repro.optimize.qp import solve_qp  # noqa: E402
@@ -55,8 +56,6 @@ from repro.optimize.slot_problem import SlotServiceProblem  # noqa: E402
 __all__ = [
     "SlotServiceProblem",
     "SolverFailure",
-    "SupplyCurve",
-    "build_supply_curves",
     "solve_greedy",
     "solve_lp",
     "solve_qp",

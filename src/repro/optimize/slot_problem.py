@@ -25,15 +25,15 @@ import numpy as np
 from repro._validation import require_non_negative
 from repro.fairness.base import FairnessFunction
 from repro.fairness.quadratic import QuadraticFairness
-from repro.model.action import Action
 from repro.model.cluster import Cluster
 from repro.model.pricing import LinearPricing, PricingModel
 from repro.model.state import ClusterState
-from repro.optimize.capacity import SupplyCurve, build_supply_curves
 
-__all__ = ["BETA_ZERO_TOL", "SlotServiceProblem"]
+__all__ = ["BETA_ZERO_TOL", "SlotServiceProblem", "busy_counts", "supply_matrix"]
 
 _EPS = 1e-9
+#: Work below this is treated as none by the cheapest-first walk.
+_WORK_EPS = 1e-12
 
 #: Fairness pulls at or below this are indistinguishable from beta = 0 in
 #: the float objective; solvers treat them as zero (see ``has_fairness``).
@@ -92,17 +92,14 @@ class SlotServiceProblem:
         require_non_negative(self.beta, "beta")
         elig = self.cluster.eligibility_matrix()
         self.h_upper = np.where(elig, np.clip(self.h_upper, 0.0, None), 0.0)
-        self._curves: List[SupplyCurve] = build_supply_curves(self.cluster, self.state)
+        self._supply = supply_matrix(self.cluster, self.state.availability)
+        self._capacities = self._supply.sum(axis=1)
+        self._capacities.flags.writeable = False
         self._total_resource = self.state.total_resource(self.cluster)
 
     # ------------------------------------------------------------------
     # Static views
     # ------------------------------------------------------------------
-    @property
-    def supply_curves(self) -> List[SupplyCurve]:
-        """Per-site minimum-power supply curves for this slot."""
-        return self._curves
-
     @property
     def has_fairness(self) -> bool:
         """True when the fairness pull materially affects the objective.
@@ -118,13 +115,9 @@ class SlotServiceProblem:
         """``R(t)`` for the fairness normalization."""
         return self._total_resource
 
-    def site_capacity(self, i: int) -> float:
-        """Work capacity of site ``i`` this slot."""
-        return self._curves[i].total_capacity
-
     def site_capacities(self) -> np.ndarray:
-        """All site capacities (length ``N``)."""
-        return np.array([c.total_capacity for c in self._curves])
+        """All site work capacities this slot (length ``N``)."""
+        return self._capacities
 
     # ------------------------------------------------------------------
     # Objective pieces
@@ -140,17 +133,16 @@ class SlotServiceProblem:
     def energy_cost(self, h: np.ndarray) -> float:
         """Minimum electricity cost ``e(t)`` to serve *h*.
 
-        Uses the supply-curve minimum power per site and the configured
-        pricing model; cheapest-servers-first remains optimal for any
-        increasing pricing because cost is increasing in energy.
+        Prices the power ``busy_for(h) @ p`` of the cheapest-first busy
+        counts with the configured pricing model; cheapest-servers-first
+        remains optimal for any increasing pricing because cost is
+        increasing in energy.
         """
-        loads = self.loads(h)
+        draws = self.busy_for(h) @ self.cluster.active_powers
         return float(
             sum(
-                self.pricing.total_cost(
-                    self._curves[i].min_power(loads[i]), self.state.prices[i]
-                )
-                for i in range(len(self._curves))
+                self.pricing.total_cost(float(draw), float(price))
+                for draw, price in zip(draws, self.state.prices)
             )
         )
 
@@ -169,7 +161,11 @@ class SlotServiceProblem:
         tiers = list(self.pricing.tiers(self.state.prices[i]))
         tier_idx = 0
         tier_energy_left = tiers[0][0] if tiers else float("inf")
-        for cap, unit_power in self._curves[i].marginal_segments():
+        cluster = self.cluster
+        unit_powers = (cluster.active_powers / cluster.speeds)[cluster.class_order]
+        for cap, unit_power in zip(self._supply[i].tolist(), unit_powers.tolist()):
+            if cap <= _WORK_EPS:
+                continue
             work_left = cap
             while work_left > _EPS and tier_idx < len(tiers):
                 unit_cost = tiers[tier_idx][1]
@@ -216,21 +212,7 @@ class SlotServiceProblem:
 
     def busy_for(self, h: np.ndarray) -> np.ndarray:
         """Optimal busy-server matrix ``b`` for service matrix *h*."""
-        loads = self.loads(h)
-        speeds = self.cluster.speeds
-        k = self.cluster.num_server_classes
-        return np.stack(
-            [
-                self._curves[i].busy_counts(loads[i], k, speeds)
-                for i in range(len(self._curves))
-            ]
-        )
-
-    def action_for(self, h: np.ndarray, route: np.ndarray | None = None) -> Action:
-        """Package a service matrix (plus optional routing) as an action."""
-        if route is None:
-            route = np.zeros_like(h)
-        return Action(route, h, self.busy_for(h))
+        return busy_counts(self.cluster, self._supply, self.loads(h))
 
     # ------------------------------------------------------------------
     # Feasibility
@@ -242,7 +224,7 @@ class SlotServiceProblem:
         if np.any(h < -tol) or np.any(h > self.h_upper + tol):
             return False
         loads = self.loads(h)
-        caps = self.site_capacities()
+        caps = self._capacities
         if not np.all(loads <= caps * (1.0 + tol) + tol):
             return False
         mem_caps = self.cluster.memory_capacities
@@ -255,7 +237,7 @@ class SlotServiceProblem:
     def clip_feasible(self, h: np.ndarray) -> np.ndarray:
         """Project *h* to the box; rescale per-site to fit capacity/memory."""
         out = np.clip(h, 0.0, self.h_upper)
-        caps = self.site_capacities()
+        caps = self._capacities
         mem_caps = self.cluster.memory_capacities
         loads = self.loads(out)
         memory = self.memory_used(out)
@@ -268,3 +250,43 @@ class SlotServiceProblem:
             if scale < 1.0:
                 out[i] *= scale
         return out
+
+
+def supply_matrix(cluster: Cluster, availability: np.ndarray) -> np.ndarray:
+    """``(N, K)`` work capacity ``n_ik s_k`` of each site and server class.
+
+    Columns follow ``cluster.class_order``, cheapest work first.
+    """
+    order = cluster.class_order
+    return availability[:, order] * cluster.speeds[order]
+
+
+def busy_counts(cluster: Cluster, supply: np.ndarray, loads: np.ndarray) -> np.ndarray:
+    """Cheapest-first busy-server matrix ``b`` carrying *loads* work per site.
+
+    For a site with availability ``n_ik`` the cheapest way to provide
+    ``c`` units of work is to fill server classes in increasing order of
+    energy per unit work ``p_k / s_k`` -- a fractional-knapsack argument,
+    exact because power and capacity are both linear in ``b_ik``.  So
+    the minimum power ``P_i(c) = b_i. @ p`` is piecewise linear and
+    convex in ``c``.  *supply* is :func:`supply_matrix` for the slot;
+    the result is ``(N, K)`` in the original class order.  Raises
+    ``ValueError`` for a negative load or one beyond the site total.
+    """
+    totals = supply.sum(axis=1)
+    if np.any(loads < -_WORK_EPS):
+        raise ValueError(f"site loads must be non-negative, got {loads}")
+    over = loads > totals * (1.0 + 1e-9) + 1e-9
+    if np.any(over):
+        i = int(np.argmax(over))
+        raise ValueError(
+            f"requested capacity {loads[i]} exceeds site total {totals[i]} at site {i}"
+        )
+    speeds = cluster.speeds
+    busy = np.zeros((supply.shape[0], cluster.num_server_classes))
+    remaining = np.minimum(np.maximum(loads, 0.0), totals)
+    for pos, k in enumerate(cluster.class_order.tolist()):
+        take = np.minimum(supply[:, pos], remaining)
+        busy[:, k] = np.where(take > _WORK_EPS, take / speeds[k], 0.0)
+        remaining = remaining - take
+    return busy

@@ -74,7 +74,7 @@ _REGISTRY: dict = {
             name="grefar",
             module="repro.core.grefar",
             qualname="GreFarScheduler",
-            params=("v", "beta", "fairness", "solver", "physical", "pricing"),
+            params=("v", "beta", "fairness", "physical", "pricing"),
             description="the paper's online drift-plus-penalty scheduler",
         ),
         SchedulerEntry(

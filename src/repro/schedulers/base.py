@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.model.action import Action
 from repro.model.cluster import Cluster
-from repro.model.queues import QueueNetwork
+from repro.model.queues import QueueNetwork, whole_jobs
 from repro.model.state import ClusterState
 
 __all__ = ["Scheduler", "route_greedily", "service_upper_bounds"]
@@ -138,7 +138,7 @@ def route_greedily(
     max_route = cluster.max_route_matrix()
     keys = dc if prefer is None else prefer
     for j in range(j_count):
-        budget = float(np.floor(front[j] + 1e-9))
+        budget = float(whole_jobs(front[j]))
         if budget <= 0:
             continue
         eligible = sorted(cluster.job_types[j].eligible_dcs, key=lambda i: keys[i, j])
@@ -146,7 +146,7 @@ def route_greedily(
             eligible = [i for i in eligible if capacities[i] > 0.0]
         for i in eligible:
             take = min(max_route[i, j], budget)
-            take = float(np.floor(take + 1e-9))
+            take = float(whole_jobs(take))
             if take <= 0:
                 continue
             route[i, j] = take

@@ -34,6 +34,7 @@ from repro.model.action import Action
 from repro.model.cluster import Cluster
 from repro.model.queues import QueueNetwork
 from repro.model.state import ClusterState
+from repro.optimize.slot_problem import busy_counts, supply_matrix
 from repro.schedulers.base import Scheduler, route_greedily, service_upper_bounds
 from repro.simulation.trace import Scenario
 
@@ -250,15 +251,6 @@ class RecedingHorizonScheduler(Scheduler):
 
     # ------------------------------------------------------------------
     def _busy_for(self, h: np.ndarray, state: ClusterState) -> np.ndarray:
-        from repro.optimize.capacity import build_supply_curves
-
-        curves = build_supply_curves(self.cluster, state)
-        loads = h @ self.cluster.demands
-        k = self.cluster.num_server_classes
-        speeds = self.cluster.speeds
-        return np.stack(
-            [
-                curves[i].busy_counts(min(loads[i], curves[i].total_capacity), k, speeds)
-                for i in range(self.cluster.num_datacenters)
-            ]
-        )
+        supply = supply_matrix(self.cluster, state.availability)
+        loads = np.clip(h @ self.cluster.demands, 0.0, supply.sum(axis=1))
+        return busy_counts(self.cluster, supply, loads)

@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.model.action import Action
 from repro.model.cluster import Cluster
-from repro.model.queues import QueueNetwork
+from repro.model.queues import QueueNetwork, whole_jobs
 from repro.model.state import ClusterState
 from repro.optimize.slot_problem import SlotServiceProblem
 from repro.resilient.supervisor import solve_service
@@ -42,7 +42,7 @@ class RoundRobinScheduler(Scheduler):
         route = np.zeros((n, j_count))
         max_route = cluster.max_route_matrix()
         for j in range(j_count):
-            budget = int(np.floor(front[j] + 1e-9))
+            budget = int(whole_jobs(front[j]))
             if budget <= 0:
                 continue
             eligible = sorted(cluster.job_types[j].eligible_dcs)

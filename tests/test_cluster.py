@@ -1,5 +1,7 @@
 """Unit tests for :class:`repro.model.cluster.Cluster`."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -98,10 +100,6 @@ class TestDerived:
         expected = np.array([[True, False], [True, True]])
         np.testing.assert_array_equal(c.eligibility_matrix(), expected)
 
-    def test_account_matrix(self, c):
-        expected = np.array([[True, False], [False, True]])
-        np.testing.assert_array_equal(c.account_matrix(), expected)
-
     def test_max_route_matrix_zero_when_ineligible(self, c):
         mat = c.max_route_matrix()
         assert mat[0, 1] == 0.0
@@ -111,6 +109,10 @@ class TestDerived:
         mat = c.max_service_matrix()
         assert mat[0, 1] == 0.0
 
+    def test_class_order_cheapest_work_first(self, c):
+        # p/s: class 0 -> 1.0, class 1 -> 0.6.
+        np.testing.assert_array_equal(c.class_order, [1, 0])
+
     def test_max_total_capacity(self, c):
         # d0: 2*1.0; d1: 1*1.0 + 4*0.5 = 3.0 -> total 5.0
         assert c.max_total_capacity() == pytest.approx(5.0)
@@ -119,3 +121,62 @@ class TestDerived:
         text = c.describe()
         assert "d0" in text and "d1" in text
         assert "m0" in text and "m1" in text
+
+
+class TestDerivedArrayCache:
+    ARRAYS = (
+        "speeds",
+        "active_powers",
+        "class_order",
+        "demands",
+        "fair_shares",
+        "memory_demands",
+        "memory_capacities",
+        "ingress_costs",
+        "account_of_type",
+    )
+    MATRICES = ("eligibility_matrix", "max_route_matrix", "max_service_matrix")
+
+    @staticmethod
+    def _arrays(c):
+        arrays = {name: getattr(c, name) for name in TestDerivedArrayCache.ARRAYS}
+        for name in TestDerivedArrayCache.MATRICES:
+            arrays[name] = getattr(c, name)()
+        return arrays
+
+    @pytest.fixture
+    def c(self):
+        return Cluster(_classes(), _dcs(), _types(), _accounts())
+
+    def test_arrays_are_read_only(self, c):
+        for name, arr in self._arrays(c).items():
+            assert not arr.flags.writeable, name
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
+
+    def test_repeated_access_returns_same_object(self, c):
+        first = self._arrays(c)
+        second = self._arrays(c)
+        for name, arr in first.items():
+            assert second[name] is arr, name
+        assert c.has_memory_constraints is c.has_memory_constraints
+
+    def test_caches_stay_out_of_pickles(self, c):
+        before = pickle.dumps(c)
+        self._arrays(c)
+        assert c.has_memory_constraints is False
+        assert pickle.dumps(c) == before
+        assert set(pickle.loads(before).__dict__) == {
+            "server_classes",
+            "datacenters",
+            "job_types",
+            "accounts",
+        }
+
+    def test_arrays_rebuilt_after_unpickling(self, c):
+        original = self._arrays(c)
+        restored = pickle.loads(pickle.dumps(c))
+        for name, arr in self._arrays(restored).items():
+            np.testing.assert_array_equal(arr, original[name])
+            assert arr is not original[name]
+            assert not arr.flags.writeable, name

@@ -7,6 +7,7 @@ from repro.core.grefar import GreFarScheduler
 from repro.model.action import Action
 from repro.model.queues import QueueNetwork
 from repro.model.state import ClusterState
+from repro.optimize import solve_greedy, solve_lp, solve_qp
 
 
 def _seed_queues(cluster, front=None, dc=None):
@@ -37,10 +38,6 @@ class TestConstruction:
     def test_rejects_negative_beta(self, cluster):
         with pytest.raises(ValueError):
             GreFarScheduler(cluster, beta=-1.0)
-
-    def test_rejects_unknown_solver(self, cluster):
-        with pytest.raises(ValueError, match="solver"):
-            GreFarScheduler(cluster, solver="magic")
 
 
 class TestRouting:
@@ -152,12 +149,8 @@ class TestService:
         route[0, 0] = 3.0
         route[1, 1] = 2.0
         q.step(Action(route, np.zeros((2, 2)), np.zeros((2, 2))), np.zeros(2), t=1)
-        actions = {}
-        for solver in ("greedy", "lp", "qp"):
-            scheduler = GreFarScheduler(cluster, v=4.0, solver=solver)
-            actions[solver] = scheduler.decide(2, state, q)
-        w_greedy = actions["greedy"].work_served(cluster)
-        for solver in ("lp", "qp"):
-            np.testing.assert_allclose(
-                actions[solver].work_served(cluster), w_greedy, atol=1e-6
-            )
+        # Every backend, on the slot problem GreFar builds.
+        problem = GreFarScheduler(cluster, v=4.0)._problem(state, q.dc)
+        w_greedy = solve_greedy(problem) @ cluster.demands
+        for solve in (solve_lp, solve_qp):
+            np.testing.assert_allclose(solve(problem) @ cluster.demands, w_greedy, atol=1e-6)

@@ -13,6 +13,7 @@ import pytest
 from repro.model.pricing import LinearPricing, TieredPricing
 from repro.model.state import ClusterState
 from repro.optimize import SlotServiceProblem, solve_greedy, solve_qp
+from repro.optimize.slot_problem import supply_matrix
 from repro.scenarios import small_cluster
 
 
@@ -40,9 +41,12 @@ TIERED = TieredPricing(boundaries=(3.0, 8.0), multipliers=(1.0, 2.0, 5.0))
 class TestMergedSegments:
     def test_linear_pricing_reproduces_supply_curve(self):
         problem = _problem(LinearPricing(), seed=1)
+        cluster = problem.cluster
+        supply = supply_matrix(cluster, problem.state.availability)
+        unit_powers = (cluster.active_powers / cluster.speeds)[cluster.class_order]
         for i in range(2):
             merged = problem.marginal_cost_segments(i)
-            base = problem.supply_curves[i].marginal_segments()
+            base = [(w, u) for w, u in zip(supply[i], unit_powers) if w > 1e-12]
             price = problem.state.prices[i]
             assert len(merged) == len(base)
             for (w_m, c_m), (w_b, u_b) in zip(merged, base):
@@ -60,7 +64,7 @@ class TestMergedSegments:
         problem = _problem(TIERED, seed=2)
         for i in range(2):
             total = sum(w for w, _ in problem.marginal_cost_segments(i))
-            assert total == pytest.approx(problem.site_capacity(i))
+            assert total == pytest.approx(problem.site_capacities()[i])
 
 
 class TestEnergyCost:

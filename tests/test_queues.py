@@ -5,8 +5,9 @@ import pytest
 
 from repro.core.grefar import GreFarScheduler
 from repro.model.action import Action
-from repro.model.queues import DelayStats, QueueNetwork
-from repro.scenarios import paper_scenario
+from repro.model.queues import DelayStats, QueueNetwork, whole_jobs
+from repro.obs.registry import stats_registry
+from repro.scenarios import paper_scenario, small_scenario
 from repro.simulation.simulator import Simulator
 
 
@@ -224,6 +225,45 @@ class TestHelpers:
         assert values and counts
         assert {type(v) for v in values} == {float}
         assert {type(c) for c in counts} == {float}
+
+
+class TestWholeJobs:
+    NUDGED = "sim.floor.nudged"
+
+    def test_nudge_recovers_round_off_and_is_counted(self):
+        stats = stats_registry()
+        before = stats.counter(self.NUDGED)
+        assert whole_jobs(2.9999999999) == 3.0
+        assert stats.counter(self.NUDGED) == before + 1
+        np.testing.assert_array_equal(
+            whole_jobs(np.array([1.0, 2.9999999999, 0.5, 1.9999999999])), [1.0, 3.0, 0.0, 2.0]
+        )
+        assert stats.counter(self.NUDGED) == before + 3
+
+    def test_exact_and_fractional_counts_are_not_nudged(self):
+        stats = stats_registry()
+        before = stats.counter(self.NUDGED)
+        assert whole_jobs(3.0) == 3.0
+        assert whole_jobs(2.5) == 2.0
+        np.testing.assert_array_equal(whole_jobs(np.array([0.0, 4.0, 0.25])), [0.0, 4.0, 0.0])
+        assert stats.counter(self.NUDGED) == before
+
+    @pytest.mark.parametrize(
+        "scenario_kind,beta",
+        [("golden", 0.0), ("paper", 0.0), ("paper", 100.0)],
+    )
+    def test_healthy_runs_never_nudge(self, scenario_kind, beta):
+        # GreFar's routing and the simulator's clip_to_content floor job
+        # counts that stay integral on these runs, so the nudge never
+        # changes a decision.
+        if scenario_kind == "golden":  # tests/test_golden_trace.py's run
+            scenario, v = small_scenario(horizon=40, seed=11), 5.0
+        else:
+            scenario, v = paper_scenario(horizon=300, seed=1), 7.5
+        stats = stats_registry()
+        before = stats.counter(self.NUDGED)
+        Simulator(scenario, GreFarScheduler(scenario.cluster, v=v, beta=beta)).run()
+        assert stats.counter(self.NUDGED) == before
 
 
 class TestDelayStats:

@@ -6,23 +6,30 @@ import pytest
 from repro.core.grefar import GreFarScheduler
 from repro.model.action import Action
 from repro.model.state import ClusterState
-from repro.optimize.capacity import build_supply_curves
+from repro.optimize import solve_greedy, solve_qp
+from repro.optimize.slot_problem import SlotServiceProblem, busy_counts, supply_matrix
 from repro.schedulers.base import route_greedily, service_upper_bounds
 from repro.simulation.simulator import Simulator
 
 
 class TestSupplyCurveErrors:
     def test_busy_counts_rejects_over_capacity(self, cluster, state):
-        curve = build_supply_curves(cluster, state)[0]
+        supply = supply_matrix(cluster, state.availability)
         with pytest.raises(ValueError, match="exceeds site total"):
-            curve.busy_counts(curve.total_capacity * 2, 2, cluster.speeds)
+            busy_counts(cluster, supply, supply.sum(axis=1) * 2)
 
     def test_empty_site_curve(self, cluster):
         state = ClusterState(np.zeros((2, 2)), [0.4, 0.5])
-        curve = build_supply_curves(cluster, state)[0]
-        assert curve.total_capacity == 0.0
-        assert curve.min_power(0.0) == 0.0
-        assert curve.marginal_segments() == []
+        problem = SlotServiceProblem(
+            cluster=cluster,
+            state=state,
+            queue_weights=np.zeros((2, 2)),
+            h_upper=np.zeros((2, 2)),
+            v=1.0,
+        )
+        assert problem.site_capacities()[0] == 0.0
+        assert problem.energy_cost(np.zeros((2, 2))) == 0.0
+        assert problem.marginal_cost_segments(0) == []
 
 
 class TestRouteGreedilyPrefer:
@@ -50,14 +57,19 @@ class TestServiceUpperBounds:
 
 class TestGreFarSolverVariants:
     def test_qp_backend_at_beta_zero(self, scenario):
-        scheduler = GreFarScheduler(scenario.cluster, v=5.0, solver="qp")
-        result = Simulator(scenario, scheduler).run(15)
-        greedy = Simulator(
-            scenario, GreFarScheduler(scenario.cluster, v=5.0, solver="greedy")
-        ).run(15)
-        assert result.summary.avg_energy_cost == pytest.approx(
-            greedy.summary.avg_energy_cost, rel=0.02
-        )
+        # At beta = 0 the QP backend is the exact greedy: on every slot
+        # problem of a 15-slot GreFar run both return the same service.
+        problems = []
+
+        class Recording(GreFarScheduler):
+            def _problem(self, state, dc):
+                problems.append(super()._problem(state, dc))
+                return problems[-1]
+
+        Simulator(scenario, Recording(scenario.cluster, v=5.0)).run(15)
+        assert len(problems) == 15
+        for problem in problems:
+            np.testing.assert_array_equal(solve_qp(problem), solve_greedy(problem))
 
 
 class TestExperimentVariants:

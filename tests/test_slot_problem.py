@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.model.action import Action
 from repro.optimize.slot_problem import SlotServiceProblem
 
 
@@ -103,8 +104,7 @@ class TestBusyFor:
         p = _problem(cluster, state)
         h = np.array([[3.0, 0.0], [2.0, 2.0]])
         route = np.zeros((2, 2))
-        action = p.action_for(h, route)
-        action.validate(cluster, state)
+        Action(route, h, p.busy_for(h)).validate(cluster, state)
 
 
 class TestFeasibility:

@@ -111,7 +111,7 @@ class TestSegmentConsistency:
             v=1.0,
             pricing=pricing,
         )
-        load = load_fraction * problem.site_capacity(0)
+        load = load_fraction * problem.site_capacities()[0]
         # Integrate the curve up to `load`.
         integrated = 0.0
         remaining = load
