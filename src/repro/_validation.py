@@ -22,6 +22,7 @@ __all__ = [
     "require_non_negative_array",
     "as_float_array",
     "as_int_array",
+    "is_sealed",
 ]
 
 
@@ -95,3 +96,20 @@ def as_int_array(values: Iterable[int], name: str) -> np.ndarray:
     if not np.array_equal(out, arr):
         raise ValueError(f"{name} must contain only integer values")
     return out
+
+
+def is_sealed(arr: np.ndarray) -> bool:
+    """True if no writable array can reach *arr*'s memory.
+
+    *arr* and every array it is a view of are read-only, and the chain
+    ends in memory numpy owns.  A read-only view of a writable array is
+    not sealed: whoever holds the writable array can still change it.
+    """
+    while not arr.flags.writeable:
+        base = arr.base
+        if base is None:
+            return True
+        if not isinstance(base, np.ndarray):
+            return False  # foreign memory (a buffer, an mmap): assume writable
+        arr = base
+    return False

@@ -120,42 +120,34 @@ class GreFarScheduler(Scheduler):
     def _route(
         self, front: np.ndarray, dc: np.ndarray, capacities: np.ndarray
     ) -> np.ndarray:
+        """Route to every eligible, powered site with a negative coefficient.
+
+        Unphysical runs send ``r_ij^max`` to each such site.  Physical
+        runs fill the sites most-negative coefficient first (ties by
+        site index) until ``whole_jobs(Q_j)`` is spent.  The bounds and
+        budget are whole numbers, so the cumulative sum is exact.
+        """
         cluster = self.cluster
-        n, j_count = dc.shape
-        route = np.zeros((n, j_count))
+        transfer = (self.v * cluster.ingress_costs)[:, np.newaxis] * cluster.demands
+        coefficient = dc - front + transfer
+        negative = (
+            cluster.eligibility_matrix()
+            & (capacities > 0.0)[:, np.newaxis]
+            & (coefficient < 0)
+        )
         max_route = cluster.max_route_matrix()
-        ingress = cluster.ingress_costs
-        demands = cluster.demands
-        for j in range(j_count):
-            eligible = sorted(
-                i
-                for i in cluster.job_types[j].eligible_dcs
-                if capacities[i] > 0.0
-            )
-
-            def coefficient(i: int, jj: int = j) -> float:
-                return float(
-                    dc[i, jj] - front[jj] + self.v * ingress[i] * demands[jj]
-                )
-
-            # Sites where routing strictly decreases the objective.
-            negatives = [i for i in eligible if coefficient(i) < 0]
-            if not negatives:
-                continue
-            if not self.physical:
-                for i in negatives:
-                    route[i, j] = max_route[i, j]
-                continue
-            budget = float(whole_jobs(front[j]))
-            # Most-negative coefficient first.
-            for i in sorted(negatives, key=coefficient):
-                if budget <= 0:
-                    break
-                take = float(whole_jobs(min(max_route[i, j], budget)))
-                if take <= 0:
-                    continue
-                route[i, j] = take
-                budget -= take
+        if not self.physical:
+            route = np.where(negative, max_route, 0.0)
+            route.flags.writeable = False
+            return route
+        order = np.where(negative, coefficient, np.inf).argsort(axis=0, kind="stable")
+        columns = np.arange(coefficient.shape[1])
+        bounds = np.where(negative, max_route, 0.0)[order, columns]
+        filled = bounds.cumsum(axis=0)
+        budget = whole_jobs(front)
+        route = np.empty_like(coefficient)
+        route[order, columns] = np.minimum(filled, budget) - np.minimum(filled - bounds, budget)
+        route.flags.writeable = False
         return route
 
     # ------------------------------------------------------------------

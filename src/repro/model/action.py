@@ -20,20 +20,54 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro._validation import is_sealed
 from repro.model.cluster import Cluster
 from repro.model.state import ClusterState
 
 __all__ = ["Action"]
 
 _FEAS_TOL = 1e-6
+#: Read as unsigned integers, the float64 bit patterns at or above this
+#: are +inf, NaN or carry a sign bit (negatives, ``-0.0``); below it lie
+#: exactly the finite values with ``np.signbit`` unset.
+_PLAIN_LIMIT = np.uint64(0x7FF0000000000000)
+
+
+def _owned(values, name: str) -> np.ndarray:
+    """One of :class:`Action`'s arrays: checked, ``float64`` and sealed.
+
+    The ownership contract: the array returned is C-contiguous, read-only
+    and no writable array reaches its memory (:func:`is_sealed`), so the
+    ``Action`` cannot change after it is built.  An input that already
+    meets it is kept as is; any other input is copied.
+    """
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim != 2:
+        raise ValueError("route, serve and busy must all be 2-D arrays")
+    if arr.size and arr.view(np.uint64).max() >= _PLAIN_LIMIT:
+        # Something is not a finite value with a clear sign bit.
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} must contain only finite values")
+        if (arr < -_FEAS_TOL).any():
+            raise ValueError(f"{name} must be element-wise non-negative")
+        arr = np.clip(arr, 0.0, None)  # a fresh array; -0.0 becomes +0.0
+    elif not (arr.flags.c_contiguous and is_sealed(arr)):
+        arr = arr.copy()
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
 class Action:
     """One slot's scheduling decision ``z(t)``.
 
-    All three arrays are defensively copied and frozen.  Use
-    :meth:`validate` to check feasibility against a cluster and state.
+    All three arrays are held read-only as ``float64``.  An input that is
+    already sealed (read-only, C-contiguous ``float64`` that no writable
+    array can reach, see :func:`~repro._validation.is_sealed`) is kept
+    as is; any other input is copied first.  Entries in ``[-1e-6, 0]`` (``-0.0``
+    included) are stored as ``+0.0``; NaN, infinity and anything more
+    negative raise ``ValueError``.  Use :meth:`validate` to check
+    feasibility against a cluster and state.
     """
 
     route: np.ndarray
@@ -41,11 +75,9 @@ class Action:
     busy: np.ndarray
 
     def __init__(self, route: np.ndarray, serve: np.ndarray, busy: np.ndarray) -> None:
-        r = np.asarray(route, dtype=np.float64).copy()
-        h = np.asarray(serve, dtype=np.float64).copy()
-        b = np.asarray(busy, dtype=np.float64).copy()
-        if r.ndim != 2 or h.ndim != 2 or b.ndim != 2:
-            raise ValueError("route, serve and busy must all be 2-D arrays")
+        r = _owned(route, "route")
+        h = _owned(serve, "serve")
+        b = _owned(busy, "busy")
         if r.shape != h.shape:
             raise ValueError(
                 f"route shape {r.shape} and serve shape {h.shape} must both be (N, J)"
@@ -54,16 +86,6 @@ class Action:
             raise ValueError(
                 f"busy has {b.shape[0]} sites but route has {r.shape[0]}"
             )
-        for name, arr in (("route", r), ("serve", h), ("busy", b)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} must contain only finite values")
-            if np.any(arr < -_FEAS_TOL):
-                raise ValueError(f"{name} must be element-wise non-negative")
-        np.clip(r, 0.0, None, out=r)
-        np.clip(h, 0.0, None, out=h)
-        np.clip(b, 0.0, None, out=b)
-        for arr in (r, h, b):
-            arr.setflags(write=False)
         object.__setattr__(self, "route", r)
         object.__setattr__(self, "serve", h)
         object.__setattr__(self, "busy", b)
@@ -123,9 +145,9 @@ class Action:
         computing resource consumed by account ``m``'s jobs this slot.
         """
         per_type = self.serve.sum(axis=0) * cluster.demands
-        acc = np.zeros(cluster.num_accounts)
-        np.add.at(acc, cluster.account_of_type, per_type)
-        return acc
+        return np.bincount(
+            cluster.account_of_type, weights=per_type, minlength=cluster.num_accounts
+        )
 
     # ------------------------------------------------------------------
     # Validation

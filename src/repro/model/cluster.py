@@ -153,6 +153,11 @@ class Cluster:
         return _frozen(np.argsort(self.active_powers / self.speeds, kind="stable"))
 
     @cached_property
+    def ordered_unit_powers(self) -> tuple:
+        """Energy per work ``p_k / s_k`` in :attr:`class_order`, as floats."""
+        return tuple((self.active_powers / self.speeds)[self.class_order].tolist())
+
+    @cached_property
     def demands(self) -> np.ndarray:
         """Length-``J`` vector of job demands ``d_j``."""
         return _frozen([jt.demand for jt in self.job_types])

@@ -84,6 +84,25 @@ class DataCenter:
         object.__setattr__(self, "memory_capacity", float(memory_capacity))
         object.__setattr__(self, "ingress_cost", float(ingress_cost))
 
+    def _key(self) -> tuple:
+        return (
+            self.name,
+            tuple(self.max_servers.tolist()),
+            self.location,
+            self.memory_capacity,
+            self.ingress_cost,
+        )
+
+    # Value equality: the generated methods would compare and hash the
+    # ``max_servers`` ndarray, which raises for both.
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DataCenter):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
     @property
     def num_server_classes(self) -> int:
         """Number of global server classes this site is dimensioned for."""

@@ -355,7 +355,7 @@ class QueueNetwork:
             raise ValueError(
                 f"arrivals must have shape {self._front.shape}, got {arrivals.shape}"
             )
-        if np.any(arrivals < 0):
+        if (arrivals < 0).any():
             raise ValueError("arrivals must be non-negative")
 
         served = self._apply_service(action.serve, t)
@@ -382,17 +382,20 @@ class QueueNetwork:
 
     def _apply_routing(self, r: np.ndarray, t: int) -> np.ndarray:
         routed = np.zeros_like(r)
-        for jj in range(r.shape[1]):
-            total_want = r[:, jj].sum()
+        # Column sums in one call.  Routes are whole jobs, so the sums
+        # are exact whatever order numpy adds them in.
+        totals = r.sum(axis=0)
+        # Each column's split in one division; columns that route
+        # nothing divide by one and are skipped below.
+        shares = (r / np.where(totals > _EPS, totals, 1.0)).T.tolist()
+        front = self._front.tolist()
+        for jj, total_want in enumerate(totals.tolist()):
             if total_want <= _EPS:
                 continue
-            available = self._front[jj]
-            drained = self._drain_front_ledger(
-                jj, float(min(total_want, available)), t
-            )
+            drained = self._drain_front_ledger(jj, min(total_want, front[jj]), t)
             # Allocate the really-drained jobs to sites proportionally to
             # the requested split (exactly r for physical actions).
-            for i, share in enumerate((r[:, jj] / total_want).tolist()):
+            for i, share in enumerate(shares[jj]):
                 count = drained * share
                 if count <= _EPS:
                     continue
@@ -400,14 +403,14 @@ class QueueNetwork:
                 routed[i, jj] = count
         # Scalar updates follow eqs. (12)-(13) exactly (including any
         # phantom jobs a non-physical action would create).
-        self._front = np.maximum(self._front - r.sum(axis=0), 0.0)
+        self._front = np.maximum(self._front - totals, 0.0)
         self._dc = self._dc + r
         return routed
 
     def _apply_arrivals(self, arrivals: np.ndarray, t: int) -> None:
-        for jj, count in enumerate(arrivals):
+        for jj, count in enumerate(arrivals.tolist()):
             if count > _EPS:
-                self._front_ledger[jj].append([float(t), float(count)])
+                self._front_ledger[jj].append([float(t), count])
         self._front = self._front + arrivals
 
     def _drain_front_ledger(self, job_type: int, want: float, t: int) -> float:

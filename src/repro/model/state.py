@@ -77,6 +77,30 @@ class ClusterState:
         object.__setattr__(self, "availability", avail)
         object.__setattr__(self, "prices", price)
 
+    @classmethod
+    def _from_trace(cls, availability: np.ndarray, prices: np.ndarray) -> "ClusterState":
+        """A slot snapshot over rows of a validated, sealed trace.
+
+        No validation, no copy: only
+        :meth:`~repro.simulation.trace.Scenario.state_at` calls this, with
+        read-only views of its sealed arrays, so the capacity cache below
+        can never go stale.
+        """
+        state = object.__new__(cls)
+        object.__setattr__(state, "availability", availability)
+        object.__setattr__(state, "prices", prices)
+        return state
+
+    def __getstate__(self) -> dict:
+        # The per-cluster capacity cache stays out of pickles.
+        return {"availability": self.availability, "prices": self.prices}
+
+    def __setstate__(self, state: dict) -> None:
+        # Unpickled arrays come back writable and held by nothing else.
+        for name, arr in state.items():
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
     @property
     def num_datacenters(self) -> int:
         """``N`` for this snapshot."""
@@ -106,13 +130,24 @@ class ClusterState:
         return int(self.availability.shape[1])
 
     def capacities(self, cluster: Cluster) -> np.ndarray:
-        """Per-site work capacity ``sum_k n_ik(t) * s_k`` (length ``N``)."""
-        self._check_dims(cluster)
-        return self.availability @ cluster.speeds
+        """Per-site work capacity ``sum_k n_ik(t) * s_k`` (length ``N``, read-only)."""
+        return self._site_capacity(cluster)[1]
 
     def total_resource(self, cluster: Cluster) -> float:
         """``R(t) = sum_i sum_k n_ik(t) * s_k``: systemwide resource (eq. 3)."""
-        return float(np.sum(self.capacities(cluster)))
+        return self._site_capacity(cluster)[2]
+
+    def _site_capacity(self, cluster: Cluster) -> tuple:
+        # Computed once per (state, cluster): a slot asks for it from
+        # routing, the slot problem and the cost model.
+        cached = self.__dict__.get("_capacity")
+        if cached is None or cached[0] is not cluster:
+            self._check_dims(cluster)
+            caps = self.availability @ cluster.speeds
+            caps.flags.writeable = False
+            cached = (cluster, caps, float(np.sum(caps)))
+            object.__setattr__(self, "_capacity", cached)
+        return cached
 
     def validate_for(self, cluster: Cluster) -> "ClusterState":
         """Check that the snapshot is feasible for *cluster* plant limits."""

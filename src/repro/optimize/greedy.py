@@ -48,21 +48,20 @@ def greedy_walk(
     against supply, so callers get the energy term without re-evaluating
     it.  Negative weights are never served.
     """
-    n, j_count = h_upper.shape
-    h = np.zeros((n, j_count))
-    cost = 0.0
     dem = demands.tolist()
+    # Demand side: value per unit work, most valuable first.
+    values_all = weights / demands
+    orders = np.argsort(-values_all, axis=1, kind="stable").tolist()
+    wanted = (h_upper * demands).tolist()
+    rows = []
+    cost = 0.0
 
-    for i in range(n):
-        # Demand side: value per unit work, most valuable first.
-        values_arr = weights[i] / demands
-        demand_order = np.argsort(-values_arr, kind="stable").tolist()
-        values = values_arr.tolist()
-        work_wanted = (h_upper[i] * demands).tolist()
-        served = [0.0] * j_count
+    for values, demand_order, work_wanted, site in zip(
+        values_all.tolist(), orders, wanted, segments
+    ):
+        served = [0.0] * len(dem)
         # Supply side: merged (servers x pricing tiers) marginal-cost
         # curve, cheapest work first.
-        site = segments[i]
         seg_idx = 0
         seg_remaining = site[0][0] if site else 0.0
 
@@ -86,8 +85,9 @@ def greedy_walk(
                     seg_remaining = site[seg_idx][0] if seg_idx < len(site) else 0.0
             if seg_idx >= len(site):
                 break
-        h[i] = served
-        np.minimum(h[i], h_upper[i], out=h[i])
+        rows.append(served)
+    h = np.array(rows, dtype=np.float64).reshape(h_upper.shape)
+    np.minimum(h, h_upper, out=h)
     return h, cost
 
 

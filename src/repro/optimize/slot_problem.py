@@ -161,9 +161,8 @@ class SlotServiceProblem:
         tiers = list(self.pricing.tiers(self.state.prices[i]))
         tier_idx = 0
         tier_energy_left = tiers[0][0] if tiers else float("inf")
-        cluster = self.cluster
-        unit_powers = (cluster.active_powers / cluster.speeds)[cluster.class_order]
-        for cap, unit_power in zip(self._supply[i].tolist(), unit_powers.tolist()):
+        supply = zip(self._supply[i].tolist(), self.cluster.ordered_unit_powers)
+        for cap, unit_power in supply:
             if cap <= _WORK_EPS:
                 continue
             work_left = cap
@@ -186,10 +185,11 @@ class SlotServiceProblem:
 
     def account_work(self, h: np.ndarray) -> np.ndarray:
         """Per-account work ``r_m(t)`` implied by service matrix *h*."""
-        per_type = h.sum(axis=0) * self.cluster.demands
-        acc = np.zeros(self.cluster.num_accounts)
-        np.add.at(acc, self.cluster.account_of_type, per_type)
-        return acc
+        cluster = self.cluster
+        per_type = h.sum(axis=0) * cluster.demands
+        return np.bincount(
+            cluster.account_of_type, weights=per_type, minlength=cluster.num_accounts
+        )
 
     def fairness_score(self, h: np.ndarray) -> float:
         """Fairness ``f(t)`` of the allocation implied by *h*."""
@@ -221,34 +221,41 @@ class SlotServiceProblem:
         """Check box, eligibility, capacity and memory constraints for *h*."""
         if h.shape != self.h_upper.shape:
             return False
-        if np.any(h < -tol) or np.any(h > self.h_upper + tol):
+        if (h < -tol).any() or (h > self.h_upper + tol).any():
             return False
         loads = self.loads(h)
-        caps = self._capacities
-        if not np.all(loads <= caps * (1.0 + tol) + tol):
+        if not (loads <= self._capacities * (1.0 + tol) + tol).all():
             return False
-        mem_caps = self.cluster.memory_capacities
-        if np.any(np.isfinite(mem_caps)):
+        cluster = self.cluster
+        if cluster.has_memory_constraints:
             used = self.memory_used(h)
-            if not np.all(used <= mem_caps * (1.0 + tol) + tol):
+            mem_caps = cluster.memory_capacities
+            if not (used <= mem_caps * (1.0 + tol) + tol).all():
                 return False
         return True
 
     def clip_feasible(self, h: np.ndarray) -> np.ndarray:
-        """Project *h* to the box; rescale per-site to fit capacity/memory."""
+        """Project *h* to the box; rescale per-site to fit capacity/memory.
+
+        Returns a fresh read-only array, so an
+        :class:`~repro.model.action.Action` can keep it without a copy.
+        """
         out = np.clip(h, 0.0, self.h_upper)
-        caps = self._capacities
-        mem_caps = self.cluster.memory_capacities
-        loads = self.loads(out)
-        memory = self.memory_used(out)
-        for i in range(out.shape[0]):
-            scale = 1.0
-            if loads[i] > caps[i] + _EPS and loads[i] > 0:
-                scale = min(scale, caps[i] / loads[i])
-            if np.isfinite(mem_caps[i]) and memory[i] > mem_caps[i] + _EPS and memory[i] > 0:
-                scale = min(scale, mem_caps[i] / memory[i])
+        # Python floats: at a few sites numpy's per-call cost dominates.
+        scales = [
+            min(1.0, cap / load) if load > cap + _EPS and load > 0 else 1.0
+            for load, cap in zip(self.loads(out).tolist(), self._capacities.tolist())
+        ]
+        cluster = self.cluster
+        if cluster.has_memory_constraints:
+            memory = zip(self.memory_used(out).tolist(), cluster.memory_capacities.tolist())
+            for i, (used, limit) in enumerate(memory):
+                if used > limit + _EPS and used > 0:
+                    scales[i] = min(scales[i], limit / used)
+        for i, scale in enumerate(scales):
             if scale < 1.0:
                 out[i] *= scale
+        out.flags.writeable = False
         return out
 
 
@@ -270,8 +277,10 @@ def busy_counts(cluster: Cluster, supply: np.ndarray, loads: np.ndarray) -> np.n
     exact because power and capacity are both linear in ``b_ik``.  So
     the minimum power ``P_i(c) = b_i. @ p`` is piecewise linear and
     convex in ``c``.  *supply* is :func:`supply_matrix` for the slot;
-    the result is ``(N, K)`` in the original class order.  Raises
-    ``ValueError`` for a negative load or one beyond the site total.
+    the result is a fresh read-only ``(N, K)`` array in the original
+    class order, which an :class:`~repro.model.action.Action` keeps
+    without a copy.  Raises ``ValueError`` for a negative load or one
+    beyond the site total.
     """
     totals = supply.sum(axis=1)
     if np.any(loads < -_WORK_EPS):
@@ -282,11 +291,18 @@ def busy_counts(cluster: Cluster, supply: np.ndarray, loads: np.ndarray) -> np.n
         raise ValueError(
             f"requested capacity {loads[i]} exceeds site total {totals[i]} at site {i}"
         )
-    speeds = cluster.speeds
-    busy = np.zeros((supply.shape[0], cluster.num_server_classes))
-    remaining = np.minimum(np.maximum(loads, 0.0), totals)
-    for pos, k in enumerate(cluster.class_order.tolist()):
-        take = np.minimum(supply[:, pos], remaining)
-        busy[:, k] = np.where(take > _WORK_EPS, take / speeds[k], 0.0)
-        remaining = remaining - take
-    return busy
+    speeds = cluster.speeds.tolist()
+    order = cluster.class_order.tolist()
+    busy = [[0.0] * len(speeds) for _ in range(supply.shape[0])]
+    for row, caps, load, total in zip(busy, supply.tolist(), loads.tolist(), totals.tolist()):
+        remaining = min(load, total) if load > 0.0 else 0.0  # NaN serves nothing
+        for cap, k in zip(caps, order):
+            take = min(cap, remaining)
+            if take > _WORK_EPS:
+                row[k] = take / speeds[k]
+            remaining -= take
+    # Built directly, not reshaped: a reshape would be a view of a
+    # writable array, which an Action copies.
+    out = np.array(busy, dtype=np.float64) if busy else np.zeros((0, len(speeds)))
+    out.flags.writeable = False
+    return out

@@ -272,10 +272,10 @@ class SupervisedSolver:
                 "infeasible",
                 f"shape {raw.shape} != {problem.h_upper.shape}",
             )
-        if not np.all(np.isfinite(raw)):
+        if not np.isfinite(raw).all():
             return _Failure("non-finite", "backend returned NaN/Inf entries")
         h = problem.clip_feasible(raw)
-        if not np.array_equal(h, raw):
+        if (h != raw).any():
             stats_registry().counter_add("resilient.clip.changed")
         if not problem.is_feasible(h):
             return _Failure("infeasible", "clipped solution violates constraints")

@@ -30,7 +30,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from repro._contracts import contracts_enabled, queue_bound_observer
 from repro._validation import require_integer
@@ -215,6 +215,33 @@ def _execute_task(task: tuple) -> RunResult:
     return RunResult(key=key, summary=summary, series=series)
 
 
+def _share_scenarios(pending: list) -> Iterator[tuple]:
+    """Yield the tasks of *pending*, each distinct ``ScenarioSpec`` built once.
+
+    A :class:`~repro.simulation.trace.Scenario` is immutable, so the
+    in-process runs of one call can share it.  Each is built when its
+    first task comes up and dropped after its last, so only scenarios
+    with runs still ahead are held.  Tasks that already carry a
+    scenario override are left as they are.
+    """
+    last = {
+        task[1].scenario: position
+        for position, (_, task) in enumerate(pending)
+        if task[2] is None
+    }
+    built: dict = {}
+    for position, (_, task) in enumerate(pending):
+        key, spec, scenario, scheduler, cost_model, ckpt = task
+        source = spec.scenario
+        if scenario is None and source is not None:
+            if source not in built:
+                built[source] = source.materialize()
+            scenario = built[source]
+            if last[source] == position:
+                del built[source]
+        yield (key, spec, scenario, scheduler, cost_model, ckpt)
+
+
 # ----------------------------------------------------------------------
 # Public API
 # ----------------------------------------------------------------------
@@ -284,7 +311,7 @@ def run_many(
     incidents = 0
     if pending:
         if jobs == 1 or len(pending) == 1:
-            fresh = [_execute_task(task) for _, task in pending]
+            fresh = [_execute_task(task) for task in _share_scenarios(pending)]
         else:
             workers = min(jobs, len(pending))
             fresh = [None] * len(pending)

@@ -100,8 +100,8 @@ class MetricsCollector:
         self.queue_max.append(queues.max_queue_length())
         self.served_jobs.append(float(served_jobs))
         stats = queues.stats
-        self.dc_delay_sum.append(stats.dc_delay_sum.sum(axis=1).copy())
-        self.dc_completed.append(stats.dc_completed.sum(axis=1).copy())
+        self.dc_delay_sum.append(stats.dc_delay_sum.sum(axis=1))
+        self.dc_completed.append(stats.dc_completed.sum(axis=1))
         self.front_delay_sum.append(float(stats.front_delay_sum.sum()))
         self.front_completed.append(float(stats.front_completed.sum()))
 

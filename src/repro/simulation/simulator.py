@@ -200,7 +200,7 @@ class Simulator:
         outcome = queues.step(action, arrivals, t)
         for observer in self.observers:
             observer(t, state, action, queues)
-        served_jobs = float(np.sum(outcome["served"]))
+        served_jobs = float(outcome["served"].sum())
         cost = self.cost_model.evaluate(cluster, state, action)
         self.metrics.record(
             energy=cost.energy,

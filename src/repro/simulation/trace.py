@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro._validation import is_sealed
 from repro.model.cluster import Cluster
 from repro.model.state import ClusterState
 from repro.workloads.availability import AvailabilityModel
@@ -22,9 +23,20 @@ from repro.workloads.prices import PriceModel
 __all__ = ["Scenario"]
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """*arr* sealed: kept if no writable array reaches it, else a read-only copy."""
+    if not is_sealed(arr):
+        arr = arr.copy()
+        arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A complete simulation input: who arrives, what is up, what power costs.
+
+    The three arrays are validated once and kept read-only, so one
+    scenario can be shared by any number of runs.
 
     Attributes
     ----------
@@ -71,9 +83,16 @@ class Scenario:
         ):
             if not np.all(np.isfinite(arr)) or np.any(arr < 0):
                 raise ValueError(f"{name} must be finite and non-negative")
-        object.__setattr__(self, "arrivals", arrivals)
-        object.__setattr__(self, "availability", availability)
-        object.__setattr__(self, "prices", prices)
+        object.__setattr__(self, "arrivals", _frozen(arrivals))
+        object.__setattr__(self, "availability", _frozen(availability))
+        object.__setattr__(self, "prices", _frozen(prices))
+
+    def __setstate__(self, state: dict) -> None:
+        # Unpickled arrays come back writable and held by nothing else.
+        for value in state.values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        self.__dict__.update(state)
 
     # ------------------------------------------------------------------
     @property
@@ -82,10 +101,10 @@ class Scenario:
         return int(self.arrivals.shape[0])
 
     def state_at(self, t: int) -> ClusterState:
-        """The :class:`ClusterState` snapshot ``x(t)``."""
+        """The :class:`ClusterState` snapshot ``x(t)``: read-only views, not copies."""
         if not 0 <= t < self.horizon:
             raise IndexError(f"slot {t} outside horizon [0, {self.horizon})")
-        return ClusterState(self.availability[t], self.prices[t])
+        return ClusterState._from_trace(self.availability[t], self.prices[t])
 
     def arrival_work(self) -> np.ndarray:
         """Total arriving work per slot (length ``T``)."""

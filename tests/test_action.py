@@ -36,6 +36,60 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Action(bad, np.zeros((1, 1)), np.zeros((1, 1)))
 
+    def test_rejects_infinity(self):
+        for bad in (np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                Action(np.zeros((1, 1)), np.full((1, 1), bad), np.zeros((1, 1)))
+
+    def test_rejects_below_tolerance(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            Action(np.zeros((1, 1)), np.zeros((1, 1)), np.full((1, 1), -2e-6))
+
+    def test_small_negatives_and_negative_zero_become_positive_zero(self):
+        values = np.array([[-0.0, -1e-7, -1e-6, 2.0]])
+        a = Action(values, values, values)
+        for arr in (a.route, a.serve, a.busy):
+            np.testing.assert_array_equal(arr, [[0.0, 0.0, 0.0, 2.0]])
+            assert not np.signbit(arr).any()
+        assert np.signbit(values[0, 0])  # the input is left alone
+
+    def test_copies_writable_inputs(self):
+        route = np.ones((2, 2))
+        a = Action(route, route, route)
+        assert not np.shares_memory(a.route, route)
+        route[0, 0] = 5.0
+        assert a.route[0, 0] == 1.0 and a.serve[0, 0] == 1.0
+        assert route.flags.writeable
+
+    def test_keeps_read_only_float64_without_copy(self):
+        route = np.ones((2, 2))
+        route.flags.writeable = False
+        assert Action(route, route, route).route is route
+
+    def test_copies_read_only_view_of_writable_array(self):
+        source = np.ones((2, 2))
+        view = source.view()
+        view.flags.writeable = False
+        a = Action(view, view, view)
+        assert not np.shares_memory(a.route, source)
+        source[0, 0] = 5.0
+        assert a.route[0, 0] == 1.0
+
+    def test_keeps_read_only_view_of_sealed_array(self):
+        source = np.ones((3, 2))
+        source.flags.writeable = False
+        assert Action(source[:2], source[:2], source[:2]).route.base is source
+
+    def test_copies_read_only_inputs_of_other_layout_or_dtype(self):
+        fortran = np.asfortranarray(np.arange(6.0).reshape(2, 3))
+        fortran.flags.writeable = False
+        ints = np.ones((2, 3), dtype=np.int64)
+        ints.flags.writeable = False
+        a = Action(fortran, ints, np.zeros((2, 1)))
+        assert a.route.flags.c_contiguous and a.route is not fortran
+        assert a.serve.dtype == np.float64
+        assert not a.route.flags.writeable and not a.serve.flags.writeable
+
     def test_arrays_frozen(self, cluster):
         a = _zeros(cluster)
         with pytest.raises(ValueError):

@@ -180,3 +180,28 @@ class TestDerivedArrayCache:
             np.testing.assert_array_equal(arr, original[name])
             assert arr is not original[name]
             assert not arr.flags.writeable, name
+
+
+class TestValueEquality:
+    def test_equal_clusters_compare_and_hash_equal(self):
+        a = Cluster(_classes(), _dcs(), _types(), _accounts())
+        b = Cluster(_classes(), _dcs(), _types(), _accounts())
+        assert a == b
+        assert hash(a) == hash(b)
+
+    def test_equals_its_unpickled_copy(self):
+        c = Cluster(_classes(), _dcs(), _types(), _accounts())
+        c.speeds  # a filled cache must not matter
+        assert pickle.loads(pickle.dumps(c)) == c
+
+    def test_usable_as_dict_key(self):
+        a = Cluster(_classes(), _dcs(), _types(), _accounts())
+        table = {a: "first"}
+        assert table[Cluster(_classes(), _dcs(), _types(), _accounts())] == "first"
+
+    def test_different_plants_differ(self):
+        a = Cluster(_classes(), _dcs(), _types(), _accounts())
+        dcs = list(_dcs())
+        first = dcs[0]
+        dcs[0] = DataCenter(name=first.name, max_servers=first.max_servers + 1)
+        assert a != Cluster(_classes(), dcs, _types(), _accounts())

@@ -37,6 +37,23 @@ class TestConstruction:
         assert dc.max_servers[0] == 1.0
 
 
+class TestValueEquality:
+    def test_equal_sites_compare_and_hash_equal(self):
+        a = DataCenter(name="x", max_servers=[1, 2], memory_capacity=4.0)
+        b = DataCenter(name="x", max_servers=np.array([1.0, 2.0]), memory_capacity=4.0)
+        assert a == b
+        assert hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+
+    def test_any_field_difference_breaks_equality(self):
+        base = DataCenter(name="x", max_servers=[1, 2])
+        assert base != DataCenter(name="y", max_servers=[1, 2])
+        assert base != DataCenter(name="x", max_servers=[1, 3])
+        assert base != DataCenter(name="x", max_servers=[1, 2, 0])
+        assert base != DataCenter(name="x", max_servers=[1, 2], ingress_cost=0.1)
+        assert base != "x"
+
+
 class TestCapacity:
     def test_max_capacity(self):
         classes = [

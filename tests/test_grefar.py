@@ -154,3 +154,25 @@ class TestService:
         w_greedy = solve_greedy(problem) @ cluster.demands
         for solve in (solve_lp, solve_qp):
             np.testing.assert_allclose(solve(problem) @ cluster.demands, w_greedy, atol=1e-6)
+
+
+class TestDecisionArrays:
+    @pytest.mark.parametrize("beta, physical", [(0.0, True), (0.0, False), (100.0, True)])
+    def test_action_keeps_the_slot_arrays(self, cluster, state, monkeypatch, beta, physical):
+        import repro.core.grefar as grefar
+
+        handed = []
+
+        def spy(route, serve, busy):
+            handed.append((route, serve, busy))
+            return Action(route, serve, busy)
+
+        monkeypatch.setattr(grefar, "Action", spy)
+        q = _seed_queues(cluster, front=[4.0, 3.0], dc=[[1.0, 0.0], [0.0, 2.0]])
+        scheduler = GreFarScheduler(cluster, v=5.0, beta=beta, physical=physical)
+        action = scheduler.decide(3, state, q)
+        route, serve, busy = handed[-1]
+        # Route, clip and busy walk hand over sealed arrays: no copies.
+        assert action.route is route
+        assert action.serve is serve
+        assert action.busy is busy

@@ -315,3 +315,52 @@ def test_runner_stats_counts_hits_and_executions(cache):
     assert stats.render() == "runner: 1 executed, 1 cached (jobs=1)"
     reset_stats()
     assert runner_stats().executed == 0
+
+
+# ----------------------------------------------------------------------
+# Shared scenarios on the in-process path
+# ----------------------------------------------------------------------
+def test_in_process_batch_builds_each_scenario_once(monkeypatch):
+    built = []
+    materialize = ScenarioSpec.materialize
+
+    def counting(self):
+        built.append(self)
+        return materialize(self)
+
+    monkeypatch.setattr(ScenarioSpec, "materialize", counting)
+    other = ScenarioSpec(kind="small", horizon=40, seed=4)
+    specs = [
+        small_spec(scheduler_kwargs={"v": v, "beta": 0.0}) for v in (1.0, 7.5, 20.0)
+    ] + [small_spec(scenario=other)]
+    results = run_many(specs)
+    assert sorted(built, key=lambda s: s.seed) == [SMALL, other]
+    monkeypatch.setattr(ScenarioSpec, "materialize", materialize)
+    for spec, result in zip(specs, results):
+        alone = run_many([spec])[0]
+        assert result.key == alone.key
+        assert result.summary.as_dict() == alone.summary.as_dict()
+        for name, series in alone.series.items():
+            np.testing.assert_array_equal(result.series[name], series)
+
+
+def test_shared_scenario_is_dropped_after_its_last_task():
+    import gc
+    import weakref
+
+    from repro.runner.engine import _share_scenarios
+
+    other = ScenarioSpec(kind="small", horizon=40, seed=4)
+    pending = [
+        (index, ("", small_spec(scenario=source), None, None, None, None))
+        for index, source in enumerate([SMALL, SMALL, other])
+    ]
+    tasks = _share_scenarios(pending)
+    first, second = next(tasks), next(tasks)
+    assert first[2] is second[2]
+    built = weakref.ref(first[2])
+    del first, second
+    third = next(tasks)
+    gc.collect()
+    assert built() is None
+    assert third[1].scenario == other and third[2] is not None

@@ -1,0 +1,232 @@
+"""The per-slot fast paths agree bit for bit with their loop oracles.
+
+Each property draws a random cluster (outage sites, coefficient ties,
+ingress costs, memory limits, small routing bounds) and one slot's
+queues, prices and candidate decisions, then compares the code in
+``src/`` with the loop it replaced (``tests/oracles/slot_loops.py``):
+equal values and equal signs of zero.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.grefar import GreFarScheduler
+from repro.model.action import Action
+from repro.model.cluster import Cluster
+from repro.model.datacenter import DataCenter
+from repro.model.job import Account, JobType
+from repro.model.pricing import LinearPricing, TieredPricing
+from repro.model.server import ServerClass
+from repro.model.state import ClusterState
+from repro.optimize import SlotServiceProblem
+from repro.optimize.greedy import greedy_walk
+from repro.optimize.slot_problem import busy_counts, supply_matrix
+from tests.oracles.slot_loops import (
+    account_work_add_at,
+    busy_counts_columns,
+    clip_feasible_loop,
+    greedy_walk_per_site,
+    marginal_cost_segments_walk,
+    route_loop,
+)
+
+
+def assert_bits_equal(fast, slow):
+    fast = np.asarray(fast, dtype=np.float64)
+    slow = np.asarray(slow, dtype=np.float64)
+    assert fast.shape == slow.shape
+    assert np.array_equal(fast, slow)
+    assert np.array_equal(np.signbit(fast), np.signbit(slow))
+
+
+@st.composite
+def slots(draw):
+    """A random cluster plus one slot's state, queues and scheduler knobs."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 3))
+    j_count = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 3))
+    memory = draw(st.booleans())
+    small = st.integers(0, 4).map(float)
+    classes = tuple(
+        ServerClass(
+            name=f"s{c}",
+            speed=draw(st.sampled_from([0.5, 0.8, 1.0, 1.5])),
+            active_power=draw(st.sampled_from([0.25, 0.5, 1.0, 2.0])),
+        )
+        for c in range(k)
+    )
+    datacenters = tuple(
+        DataCenter(
+            name=f"d{i}",
+            max_servers=[draw(st.integers(0, 12)) for _ in range(k)],
+            memory_capacity=draw(st.sampled_from([3.0, 10.0])) if memory else float("inf"),
+            ingress_cost=draw(st.sampled_from([0.0, 0.0, 0.05, 0.3])),
+        )
+        for i in range(n)
+    )
+    job_types = tuple(
+        JobType(
+            name=f"j{jj}",
+            demand=draw(st.sampled_from([0.5, 1.0, 2.0, 3.0])),
+            eligible_dcs=draw(st.sets(st.integers(0, n - 1), min_size=1)),
+            account=draw(st.integers(0, m - 1)),
+            max_arrivals=10,
+            max_route=draw(st.integers(1, 6)),
+            max_service=draw(st.sampled_from([2.0, 5.0, 50.0])),
+            memory=draw(st.sampled_from([0.0, 1.0, 2.5])) if memory else 0.0,
+        )
+        for jj in range(j_count)
+    )
+    accounts = tuple(Account(name=f"a{a}", fair_share=1.0 / m) for a in range(m))
+    cluster = Cluster(classes, datacenters, job_types, accounts)
+    availability = np.array(
+        [
+            [draw(st.integers(0, int(dc.max_servers[c]))) for c in range(k)]
+            for dc in datacenters
+        ],
+        dtype=np.float64,
+    )
+    outages = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    availability[np.array(outages)] = 0.0
+    # Slivers of capacity either side of the 1e-12 / 1e-9 work cut-offs.
+    slivers = draw(
+        st.lists(
+            st.sampled_from([None, None, None, 5e-13, 5e-10, 3e-9]),
+            min_size=n * k,
+            max_size=n * k,
+        )
+    )
+    for index, sliver in enumerate(slivers):
+        if sliver is not None:
+            availability[index // k, index % k] = sliver
+    prices = [draw(st.sampled_from([0.1, 0.4, 0.4, 1.2])) for _ in range(n)]
+    fractional = draw(st.booleans())
+    front = np.array(
+        [draw(st.floats(0.0, 9.0) if fractional else small) for _ in range(j_count)]
+    )
+    dc = np.array([[draw(small) for _ in range(j_count)] for _ in range(n)])
+    return {
+        "cluster": cluster,
+        "state": ClusterState(availability, prices),
+        "front": front,
+        "dc": dc,
+        "v": draw(st.sampled_from([0.0, 0.5, 2.5, 7.5])),
+        "physical": draw(st.booleans()),
+        "tiered": draw(st.booleans()),
+    }
+
+
+def problem_for(slot, weights=None):
+    cluster = slot["cluster"]
+    pricing = (
+        TieredPricing(boundaries=(1.0, 4.0), multipliers=(1.0, 1.5, 3.0))
+        if slot["tiered"]
+        else LinearPricing()
+    )
+    dc = slot["dc"]
+    return SlotServiceProblem(
+        cluster=cluster,
+        state=slot["state"],
+        queue_weights=dc if weights is None else weights,
+        h_upper=np.minimum(cluster.max_service_matrix(), dc + 1.0),
+        v=slot["v"],
+        pricing=pricing,
+    )
+
+
+def service_matrices(shape):
+    """Candidate ``h``: within the box, above it, below zero, -0.0 entries."""
+    return st.lists(
+        st.sampled_from([-0.5, -0.0, 0.0, 0.25, 1.0, 2.0, 3.5, 8.0, 60.0]),
+        min_size=shape[0] * shape[1],
+        max_size=shape[0] * shape[1],
+    ).map(lambda values: np.array(values).reshape(shape))
+
+
+@settings(max_examples=300, deadline=None)
+@given(slots())
+def test_route_matches_loop(slot):
+    cluster = slot["cluster"]
+    scheduler = GreFarScheduler(cluster, v=slot["v"], physical=slot["physical"])
+    caps = slot["state"].capacities(cluster)
+    fast = scheduler._route(slot["front"], slot["dc"], caps)
+    assert_bits_equal(fast, route_loop(scheduler, slot["front"], slot["dc"], caps))
+
+
+@settings(max_examples=200, deadline=None)
+@given(slots(), st.data())
+def test_clip_feasible_matches_loop(slot, data):
+    problem = problem_for(slot)
+    h = data.draw(service_matrices(problem.h_upper.shape))
+    assert_bits_equal(problem.clip_feasible(h), clip_feasible_loop(problem, h))
+    # Loads a hair either side of capacity (and of memory, where it binds).
+    box = np.clip(h, 0.0, problem.h_upper)
+    sites = len(box)
+    offsets = np.array(
+        data.draw(
+            st.lists(
+                st.sampled_from([-1e-9, 0.0, 5e-10, 2e-9]), min_size=sites, max_size=sites
+            )
+        )
+    )
+    edges = [(problem.loads(box), problem.site_capacities())]
+    if slot["cluster"].has_memory_constraints:
+        edges.append((problem.memory_used(box), problem.cluster.memory_capacities))
+    for used, limit in edges:
+        hit = (used > 0) & np.isfinite(limit)
+        scale = np.where(hit, (limit + offsets) / np.where(hit, used, 1.0), 1.0)
+        edge = box * scale[:, np.newaxis]
+        assert_bits_equal(problem.clip_feasible(edge), clip_feasible_loop(problem, edge))
+
+
+@settings(max_examples=200, deadline=None)
+@given(slots())
+def test_marginal_cost_segments_match_tier_walk(slot):
+    problem = problem_for(slot)
+    for i in range(slot["cluster"].num_datacenters):
+        fast = problem.marginal_cost_segments(i)
+        slow = marginal_cost_segments_walk(problem, i)
+        assert_bits_equal(np.reshape(fast, (-1, 2)), np.reshape(slow, (-1, 2)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(slots(), st.data())
+def test_account_work_matches_add_at(slot, data):
+    cluster = slot["cluster"]
+    problem = problem_for(slot)
+    h = data.draw(service_matrices(problem.h_upper.shape))
+    slow = account_work_add_at(cluster, h)
+    assert_bits_equal(problem.account_work(h), slow)
+    zeros = np.zeros_like(h)
+    action = Action(zeros, np.maximum(h, 0.0), np.zeros((h.shape[0], 1)))
+    assert_bits_equal(action.account_work(cluster), account_work_add_at(cluster, action.serve))
+
+
+@settings(max_examples=200, deadline=None)
+@given(slots(), st.data())
+def test_busy_counts_match_columns(slot, data):
+    cluster = slot["cluster"]
+    supply = supply_matrix(cluster, slot["state"].availability)
+    totals = supply.sum(axis=1)
+    sites = len(totals)
+    fractions = data.draw(
+        st.lists(st.sampled_from([0.0, 0.3, 0.5, 1.0]), min_size=sites, max_size=sites)
+    )
+    loads = totals * np.array(fractions)
+    assert_bits_equal(
+        busy_counts(cluster, supply, loads), busy_counts_columns(cluster, supply, loads)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(slots())
+def test_greedy_walk_matches_per_site(slot):
+    problem = problem_for(slot)
+    segments = [problem.marginal_cost_segments(i) for i in range(problem.h_upper.shape[0])]
+    args = (problem.queue_weights, problem.h_upper, problem.cluster.demands, problem.v, segments)
+    h_fast, cost_fast = greedy_walk(*args)
+    h_slow, cost_slow = greedy_walk_per_site(*args)
+    assert_bits_equal(h_fast, h_slow)
+    assert_bits_equal(cost_fast, cost_slow)

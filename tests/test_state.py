@@ -1,5 +1,7 @@
 """Unit tests for :class:`repro.model.state.ClusterState`."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,32 @@ class TestDerived:
 
     def test_total_resource(self, cluster, state):
         assert state.total_resource(cluster) == pytest.approx(36.0)
+
+    def test_capacities_built_once_and_exact(self, cluster):
+        rng = np.random.default_rng(7)
+        s = ClusterState(rng.uniform(0.0, 10.0, size=(2, 2)), [0.4, 0.5])
+        caps = s.capacities(cluster)
+        assert s.capacities(cluster) is caps
+        assert not caps.flags.writeable
+        expected = s.availability @ cluster.speeds
+        assert np.array_equal(caps, expected)
+        assert s.total_resource(cluster) == float(np.sum(expected))
+
+    def test_capacity_cache_stays_out_of_pickles(self, cluster, state):
+        state.capacities(cluster)
+        restored = pickle.loads(pickle.dumps(state))
+        assert set(restored.__dict__) == {"availability", "prices"}
+        assert not restored.availability.flags.writeable
+        assert not restored.prices.flags.writeable
+        np.testing.assert_array_equal(restored.capacities(cluster), state.capacities(cluster))
+
+    def test_trace_snapshot_keeps_the_arrays(self):
+        avail = np.ones((2, 2))
+        prices = np.array([0.4, 0.5])
+        for arr in (avail, prices):
+            arr.flags.writeable = False
+        s = ClusterState._from_trace(avail, prices)
+        assert s.availability is avail and s.prices is prices
 
     def test_validate_for_accepts(self, cluster, state):
         assert state.validate_for(cluster) is state

@@ -75,6 +75,64 @@ class TestAccessors:
             scn.truncated(11)
 
 
+class TestReadOnly:
+    def test_arrays_reject_writes(self):
+        cluster = small_cluster()
+        scn = Scenario(cluster, *_arrays(cluster))
+        for arr in (scn.arrivals, scn.availability, scn.prices):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_writable_inputs_are_copied(self):
+        cluster = small_cluster()
+        arrivals, availability, prices = _arrays(cluster)
+        scn = Scenario(cluster, arrivals, availability, prices)
+        prices[3, 0] = 99.0
+        assert scn.prices[3, 0] != 99.0
+
+    def test_read_only_views_of_writable_inputs_are_copied(self):
+        cluster = small_cluster()
+        arrivals, availability, prices = _arrays(cluster)
+        view = prices.view()
+        view.flags.writeable = False
+        scn = Scenario(cluster, arrivals, availability, view)
+        prices[3, 0] = 99.0
+        assert scn.prices[3, 0] != 99.0
+
+    def test_sealed_inputs_are_kept(self):
+        cluster = small_cluster()
+        arrivals, availability, prices = _arrays(cluster)
+        prices.flags.writeable = False
+        assert Scenario(cluster, arrivals, availability, prices).prices is prices
+
+    def test_state_at_views_reject_writes(self):
+        cluster = small_cluster()
+        scn = Scenario(cluster, *_arrays(cluster))
+        state = scn.state_at(3)
+        assert np.shares_memory(state.availability, scn.availability)
+        assert np.shares_memory(state.prices, scn.prices)
+        with pytest.raises(ValueError):
+            state.availability[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            state.prices[0] = 1.0
+
+    def test_unpickled_arrays_stay_read_only(self):
+        import pickle
+
+        cluster = small_cluster()
+        restored = pickle.loads(pickle.dumps(Scenario(cluster, *_arrays(cluster))))
+        for arr in (restored.arrivals, restored.availability, restored.prices):
+            assert not arr.flags.writeable
+
+    def test_truncated_shares_the_frozen_arrays(self):
+        cluster = small_cluster()
+        scn = Scenario(cluster, *_arrays(cluster))
+        short = scn.truncated(4)
+        assert np.shares_memory(short.arrivals, scn.arrivals)
+        assert not short.arrivals.flags.writeable
+
+
 class TestGenerate:
     def test_default_generation(self):
         cluster = small_cluster()
