@@ -8,7 +8,8 @@ message that names the offending parameter.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from dataclasses import fields
+from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
 
@@ -23,6 +24,7 @@ __all__ = [
     "as_float_array",
     "as_int_array",
     "is_sealed",
+    "ValueEquality",
 ]
 
 
@@ -113,3 +115,30 @@ def is_sealed(arr: np.ndarray) -> bool:
             return False  # foreign memory (a buffer, an mmap): assume writable
         arr = base
     return False
+
+
+class ValueEquality:
+    """Value ``==``/``hash`` over the fields of a ``@dataclass(frozen=True, eq=False)``.
+
+    The generated methods raise on ndarray fields.  Here an array counts
+    by shape and entries (``-0.0 == 0.0``, NaN equals NaN); attributes
+    that are not fields (caches) take no part.
+    """
+
+    __dataclass_fields__: ClassVar[dict]
+
+    def _key(self) -> tuple:
+        values = (getattr(self, f.name) for f in fields(self))
+        return tuple(
+            (v.shape, np.where(np.isnan(v), np.nan, v + 0.0).tobytes())
+            if isinstance(v, np.ndarray) else v
+            for v in values
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())

@@ -41,7 +41,7 @@ from repro.model.pricing import LinearPricing
 from repro.model.queues import QueueNetwork, whole_jobs
 from repro.model.state import ClusterState
 from repro.optimize.slot_problem import SlotServiceProblem
-from repro.resilient.supervisor import SupervisedSolver
+from repro.resilient.supervisor import SolveOutcome, SupervisedSolver
 from repro.schedulers.base import Scheduler, service_upper_bounds
 
 __all__ = ["GreFarScheduler"]
@@ -106,8 +106,11 @@ class GreFarScheduler(Scheduler):
         dc = queues.dc
         route = self._route(front, dc, state.capacities(self.cluster))
         problem = self._problem(state, dc)
-        h = self._solve(problem, t)
-        return Action(route, h, problem.busy_for(h))
+        outcome = self._solve(problem, t)
+        # The supervisor's loads serve the busy counts and the recorded work.
+        h, loads = outcome.h, outcome.loads
+        action = Action(route, h, problem.busy_for(h, loads))
+        return action._keep_work(self.cluster, h, loads)
 
     # ------------------------------------------------------------------
     # Routing: linear in r with coefficient (q_ij - Q_j) plus, when
@@ -155,6 +158,8 @@ class GreFarScheduler(Scheduler):
     # ------------------------------------------------------------------
     def _problem(self, state: ClusterState, dc: np.ndarray) -> SlotServiceProblem:
         h_upper = service_upper_bounds(self.cluster, state, dc, self.physical)
+        # Unchecked: v and beta were checked in __init__, and the bounds
+        # are (N, J), non-negative and zero off eligibility.
         return SlotServiceProblem(
             cluster=self.cluster,
             state=state,
@@ -164,6 +169,7 @@ class GreFarScheduler(Scheduler):
             beta=self.beta,
             fairness=self.fairness,
             pricing=self.pricing,
+            checked=False,
         )
 
     def select_backend(self) -> str:
@@ -180,18 +186,17 @@ class GreFarScheduler(Scheduler):
             return "lp"
         return "greedy"
 
-    def _solve(self, problem: SlotServiceProblem, t: int) -> np.ndarray:
+    def _solve(self, problem: SlotServiceProblem, t: int) -> SolveOutcome:
         name = self.select_backend()
         reg = metrics_registry()
         if not reg.enabled:
-            return self.supervisor.solve(problem, primary=name, slot=t).h
+            return self.supervisor.solve(problem, primary=name, slot=t)
         # Instrumented path: time the solve, count the backend taken and
         # leave a per-decision record (solver, objective, iterations,
         # gap) for the simulator to fold into this slot's trace event.
         # None of this touches the decision itself.
         start = reg.clock()
         outcome = self.supervisor.solve(problem, primary=name, slot=t)
-        h = outcome.h
         elapsed = reg.clock() - start
         noted = reg.consume_solve()
         reg.counter_add(f"grefar.solver.{outcome.backend}")
@@ -200,7 +205,7 @@ class GreFarScheduler(Scheduler):
             solver=outcome.backend,
             iterations=int(noted.get("iterations", 0)),
             gap=float(noted.get("gap", 0.0)),
-            objective=float(problem.objective(h)),
+            objective=float(problem.objective(outcome.h)),
             solve_seconds=elapsed,
         )
-        return h
+        return outcome

@@ -16,7 +16,7 @@ import numpy as np
 from repro._validation import require_non_negative
 from repro.fairness.base import FairnessFunction
 from repro.fairness.quadratic import QuadraticFairness
-from repro.model.action import Action
+from repro.model.action import Action, energy_per_site
 from repro.model.cluster import Cluster
 from repro.model.state import ClusterState
 
@@ -69,14 +69,7 @@ class CostModel:
         """Cost of the idle draw of every available server this slot."""
         idle_powers = np.array([c.idle_power for c in cluster.server_classes])
         draws = state.availability @ idle_powers
-        if self.pricing is None:
-            return float(np.dot(state.prices, draws))
-        return float(
-            sum(
-                self.pricing.total_cost(float(d), float(p))
-                for d, p in zip(draws, state.prices)
-            )
-        )
+        return float(np.sum(energy_per_site(state.prices, draws, self.pricing)))
 
     def evaluate(self, cluster: Cluster, state: ClusterState, action: Action) -> SlotCost:
         """Compute ``e(t)``, ``f(t)`` and ``g(t)`` for one slot."""
@@ -89,7 +82,9 @@ class CostModel:
         bandwidth = float(np.dot(cluster.ingress_costs, routed_work))
         total = state.total_resource(cluster)
         if total > 0:
-            score = self.fairness.score(
+            # The unchecked kernel: an Action's account work is non-negative
+            # and has the shares' shape.
+            score = self.fairness._score(
                 action.account_work(cluster), total, cluster.fair_shares
             )
         else:

@@ -51,20 +51,8 @@ class AlphaFairness(FairnessFunction):
         shifted = x + self.epsilon
         return shifted ** (-self.alpha)
 
-    def score(
-        self,
-        allocation: np.ndarray,
-        total_resource: float,
-        shares: np.ndarray,
-    ) -> float:
-        alloc, total, sh = self._check(allocation, total_resource, shares)
+    def _score(self, alloc: np.ndarray, total: float, sh: np.ndarray) -> float:
         return float(np.sum(sh * self._utility(alloc / total)))
 
-    def gradient(
-        self,
-        allocation: np.ndarray,
-        total_resource: float,
-        shares: np.ndarray,
-    ) -> np.ndarray:
-        alloc, total, sh = self._check(allocation, total_resource, shares)
+    def _gradient(self, alloc: np.ndarray, total: float, sh: np.ndarray) -> np.ndarray:
         return sh * self._utility_prime(alloc / total) / total

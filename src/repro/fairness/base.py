@@ -8,10 +8,15 @@ functions live in sibling modules.
 A fairness function maps the per-account resource allocation vector
 ``r_m(t)`` (here called *allocation* to avoid clashing with routing
 ``r_ij``), the total available resource ``R(t)`` and the target shares
-``gamma_m`` to a scalar score.  Larger is fairer.  All concrete
-implementations are **concave** in the allocation, which keeps the
-per-slot GreFar problem (minimizing ``V*(e - beta*f) + queue terms``)
-convex.
+``gamma_m`` to a scalar score.  Larger is fairer.  The quadratic,
+alpha-fair and max-min scores are **concave** in the allocation, which
+keeps the per-slot GreFar problem (minimizing ``V*(e - beta*f) + queue
+terms``) convex.  Jain's index is only quasi-concave, so a Frank-Wolfe
+gap computed through it certifies nothing.
+
+``score`` and ``gradient`` check their inputs, then call the unchecked
+kernels ``_score`` and ``_gradient`` each function implements; code
+that built the allocation itself calls the kernels.
 """
 
 from __future__ import annotations
@@ -24,9 +29,8 @@ __all__ = ["FairnessFunction"]
 
 
 class FairnessFunction(ABC):
-    """Interface for concave fairness scores over account allocations."""
+    """Interface for fairness scores over account allocations."""
 
-    @abstractmethod
     def score(
         self,
         allocation: np.ndarray,
@@ -44,16 +48,29 @@ class FairnessFunction(ABC):
             ``R(t) = sum_ik n_ik(t) s_k``, the total available resource.
         shares:
             Length-``M`` vector of target shares ``gamma_m``.
-        """
 
-    @abstractmethod
+        Raises ``ValueError`` for mismatched shapes, an entry below
+        ``-1e-9`` or ``total_resource <= 0``; entries above count as
+        at least zero.
+        """
+        return self._score(*self._check(allocation, total_resource, shares))
+
     def gradient(
         self,
         allocation: np.ndarray,
         total_resource: float,
         shares: np.ndarray,
     ) -> np.ndarray:
-        """(Sub)gradient of :meth:`score` with respect to *allocation*."""
+        """(Sub)gradient of :meth:`score` in *allocation*; checked as :meth:`score` is."""
+        return self._gradient(*self._check(allocation, total_resource, shares))
+
+    @abstractmethod
+    def _score(self, alloc: np.ndarray, total: float, shares: np.ndarray) -> float:
+        """Unchecked :meth:`score`: float64 *alloc* >= 0 shaped as *shares*, *total* > 0."""
+
+    @abstractmethod
+    def _gradient(self, alloc: np.ndarray, total: float, shares: np.ndarray) -> np.ndarray:
+        """Unchecked :meth:`gradient`, on inputs as for :meth:`_score`."""
 
     # ------------------------------------------------------------------
     def ideal_allocation(self, total_resource: float, shares: np.ndarray) -> np.ndarray:

@@ -33,26 +33,14 @@ class JainFairness(FairnessFunction):
         safe_shares = np.where(shares > _EPS, shares, _EPS)
         return alloc / safe_shares
 
-    def score(
-        self,
-        allocation: np.ndarray,
-        total_resource: float,
-        shares: np.ndarray,
-    ) -> float:
-        alloc, _, sh = self._check(allocation, total_resource, shares)
+    def _score(self, alloc: np.ndarray, total: float, sh: np.ndarray) -> float:
         x = self._weighted(alloc, sh)
         sum_sq = float(np.sum(x**2))
         if sum_sq <= _EPS:
             return 1.0 / len(x)
         return float(np.sum(x)) ** 2 / (len(x) * sum_sq)
 
-    def gradient(
-        self,
-        allocation: np.ndarray,
-        total_resource: float,
-        shares: np.ndarray,
-    ) -> np.ndarray:
-        alloc, _, sh = self._check(allocation, total_resource, shares)
+    def _gradient(self, alloc: np.ndarray, total: float, sh: np.ndarray) -> np.ndarray:
         safe_shares = np.where(sh > _EPS, sh, _EPS)
         x = self._weighted(alloc, sh)
         m = len(x)

@@ -28,26 +28,14 @@ class MaxMinFairness(FairnessFunction):
         denom = np.where(shares > _EPS, shares * total, np.inf)
         return np.where(np.isfinite(denom), alloc / denom, np.inf)
 
-    def score(
-        self,
-        allocation: np.ndarray,
-        total_resource: float,
-        shares: np.ndarray,
-    ) -> float:
-        alloc, total, sh = self._check(allocation, total_resource, shares)
+    def _score(self, alloc: np.ndarray, total: float, sh: np.ndarray) -> float:
         ratios = self._ratios(alloc, total, sh)
         finite = ratios[np.isfinite(ratios)]
         if finite.size == 0:
             return 1.0  # no account has a positive target: vacuously fair
         return float(np.min(finite))
 
-    def gradient(
-        self,
-        allocation: np.ndarray,
-        total_resource: float,
-        shares: np.ndarray,
-    ) -> np.ndarray:
-        alloc, total, sh = self._check(allocation, total_resource, shares)
+    def _gradient(self, alloc: np.ndarray, total: float, sh: np.ndarray) -> np.ndarray:
         ratios = self._ratios(alloc, total, sh)
         grad = np.zeros_like(alloc)
         finite_idx = np.flatnonzero(np.isfinite(ratios))

@@ -23,22 +23,10 @@ __all__ = ["QuadraticFairness"]
 class QuadraticFairness(FairnessFunction):
     """Negative squared deviation from target shares (paper eq. 3)."""
 
-    def score(
-        self,
-        allocation: np.ndarray,
-        total_resource: float,
-        shares: np.ndarray,
-    ) -> float:
-        alloc, total, sh = self._check(allocation, total_resource, shares)
+    def _score(self, alloc: np.ndarray, total: float, sh: np.ndarray) -> float:
         dev = alloc / total - sh
-        return float(-np.sum(dev**2))
+        return float(-(dev**2).sum())
 
-    def gradient(
-        self,
-        allocation: np.ndarray,
-        total_resource: float,
-        shares: np.ndarray,
-    ) -> np.ndarray:
-        alloc, total, sh = self._check(allocation, total_resource, shares)
+    def _gradient(self, alloc: np.ndarray, total: float, sh: np.ndarray) -> np.ndarray:
         dev = alloc / total - sh
         return -2.0 * dev / total

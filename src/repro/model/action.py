@@ -12,6 +12,9 @@ An :class:`Action` is what any scheduler returns for one slot:
 The feasibility coupling is eq. (11): the work served cannot exceed the
 work capacity of the busy servers,
 ``sum_j h_ij d_j <= sum_k b_ik s_k <= sum_k n_ik s_k``.
+
+The slot arithmetic below (work per site and per account, energy cost
+per site, the capacity test) serves both the solver and the recorder.
 """
 
 from __future__ import annotations
@@ -20,11 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro._validation import is_sealed
+from repro._validation import ValueEquality, is_sealed
 from repro.model.cluster import Cluster
 from repro.model.state import ClusterState
 
-__all__ = ["Action"]
+__all__ = ["Action", "account_work", "energy_per_site", "within"]
 
 _FEAS_TOL = 1e-6
 #: Read as unsigned integers, the float64 bit patterns at or above this
@@ -57,8 +60,30 @@ def _owned(values, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class Action:
+def account_work(cluster: Cluster, serve: np.ndarray) -> np.ndarray:
+    """Per-account work ``r_m(t) = sum_i sum_{j: rho_j = m} h_ij d_j`` of eq. (3)."""
+    per_type = serve.sum(axis=0) * cluster.demands
+    return np.bincount(
+        cluster.account_of_type, weights=per_type, minlength=cluster.num_accounts
+    )
+
+
+def energy_per_site(prices: np.ndarray, draws: np.ndarray, pricing=None) -> np.ndarray:
+    """Per-site cost of power *draws*: ``phi_i(t) draw_i``, or priced by *pricing*."""
+    if pricing is None:
+        return prices * draws
+    return np.array(
+        [pricing.total_cost(float(draw), float(price)) for draw, price in zip(draws, prices)]
+    )
+
+
+def within(used: np.ndarray, limit: np.ndarray, tol: float) -> bool:
+    """True if ``used <= limit`` at every site, at relative and absolute *tol*."""
+    return bool((used <= limit * (1.0 + tol) + tol).all())
+
+
+@dataclass(frozen=True, eq=False)
+class Action(ValueEquality):
     """One slot's scheduling decision ``z(t)``.
 
     All three arrays are held read-only as ``float64``.  An input that is
@@ -68,6 +93,10 @@ class Action:
     included) are stored as ``+0.0``; NaN, infinity and anything more
     negative raise ``ValueError``.  Use :meth:`validate` to check
     feasibility against a cluster and state.
+
+    Two actions are equal when their arrays are.  :meth:`work_served`
+    and :meth:`account_work` are computed at most once per action and
+    cluster; that cache takes no part in equality or pickles.
     """
 
     route: np.ndarray
@@ -90,6 +119,15 @@ class Action:
         object.__setattr__(self, "serve", h)
         object.__setattr__(self, "busy", b)
 
+    def __getstate__(self) -> dict:
+        return {"route": self.route, "serve": self.serve, "busy": self.busy}
+
+    def __setstate__(self, state: dict) -> None:
+        # Unpickled arrays come back writable and held by nothing else.
+        for name, arr in state.items():
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
     # ------------------------------------------------------------------
     # Constructors
     # ------------------------------------------------------------------
@@ -107,47 +145,42 @@ class Action:
     # Derived quantities
     # ------------------------------------------------------------------
     def work_served(self, cluster: Cluster) -> np.ndarray:
-        """Per-site work processed: ``sum_j h_ij * d_j`` (length ``N``)."""
-        return self.serve @ cluster.demands
+        """Per-site work processed: ``sum_j h_ij * d_j`` (length ``N``, read-only)."""
+        return self._derived("_work", cluster, lambda c, h: h @ c.demands)
+
+    def account_work(self, cluster: Cluster) -> np.ndarray:
+        """Work processed per account (:func:`account_work`; read-only)."""
+        return self._derived("_account", cluster, account_work)
+
+    def _derived(self, name: str, cluster: Cluster, compute) -> np.ndarray:
+        cached = self.__dict__.get(name)
+        if cached is None or cached[0] is not cluster:
+            value = compute(cluster, self.serve)
+            value.flags.writeable = False
+            cached = (cluster, value)
+            object.__setattr__(self, name, cached)
+        return cached[1]
+
+    def _keep_work(self, cluster: Cluster, serve: np.ndarray, loads: np.ndarray) -> "Action":
+        """Adopt *loads* (``serve @ cluster.demands``) as :meth:`work_served` if *serve* is ours."""
+        if self.serve is serve:
+            loads.flags.writeable = False
+            object.__setattr__(self, "_work", (cluster, loads))
+        return self
 
     def capacity_used(self, cluster: Cluster) -> np.ndarray:
         """Per-site capacity provided by busy servers: ``sum_k b_ik s_k``."""
         return self.busy @ cluster.speeds
 
     def energy_cost(self, cluster: Cluster, state: ClusterState, pricing=None) -> float:
-        """Total electricity cost ``e(t)`` (eq. 2).
-
-        With the default linear pricing this is
-        ``sum_i phi_i(t) sum_k b_ik p_k``; pass a
-        :class:`~repro.model.pricing.PricingModel` for convex pricing
-        (Section III-A2).
-        """
+        """Total electricity cost ``e(t)`` (eq. 2): the sum of :meth:`energy_cost_per_site`."""
         return float(np.sum(self.energy_cost_per_site(cluster, state, pricing)))
 
     def energy_cost_per_site(
         self, cluster: Cluster, state: ClusterState, pricing=None
     ) -> np.ndarray:
-        """Per-site electricity cost ``e_i(t)`` (length ``N``)."""
-        draws = self.busy @ cluster.active_powers
-        if pricing is None:
-            return state.prices * draws
-        return np.array(
-            [
-                pricing.total_cost(float(draw), float(price))
-                for draw, price in zip(draws, state.prices)
-            ]
-        )
-
-    def account_work(self, cluster: Cluster) -> np.ndarray:
-        """Work processed per account: ``r_m(t)`` of eq. (3) (length ``M``).
-
-        ``r_m(t) = sum_i sum_{j: rho_j = m} h_ij(t) * d_j`` — the
-        computing resource consumed by account ``m``'s jobs this slot.
-        """
-        per_type = self.serve.sum(axis=0) * cluster.demands
-        return np.bincount(
-            cluster.account_of_type, weights=per_type, minlength=cluster.num_accounts
-        )
+        """Per-site electricity cost ``e_i(t)`` (:func:`energy_per_site`)."""
+        return energy_per_site(state.prices, self.busy @ cluster.active_powers, pricing)
 
     # ------------------------------------------------------------------
     # Validation
@@ -202,9 +235,9 @@ class Action:
                 f"at data center index {bad} (eq. 11 violated)"
             )
         mem_caps = cluster.memory_capacities
-        if np.any(np.isfinite(mem_caps)):
+        if cluster.has_memory_constraints:
             used = self.serve @ cluster.memory_demands
-            if np.any(used > mem_caps * (1.0 + tol) + tol):
+            if not within(used, mem_caps, tol):
                 bad = int(np.argmax(used - mem_caps))
                 raise ValueError(
                     f"memory used {used[bad]:.6f} exceeds capacity "

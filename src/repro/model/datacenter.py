@@ -16,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from repro._validation import (
+    ValueEquality,
     as_float_array,
     require_non_negative_array,
 )
@@ -24,8 +25,8 @@ from repro.model.server import ServerClass
 __all__ = ["DataCenter"]
 
 
-@dataclass(frozen=True)
-class DataCenter:
+@dataclass(frozen=True, eq=False)
+class DataCenter(ValueEquality):
     """Static description of one of the ``N`` geographically distributed sites.
 
     Parameters
@@ -83,25 +84,6 @@ class DataCenter:
         object.__setattr__(self, "location", location)
         object.__setattr__(self, "memory_capacity", float(memory_capacity))
         object.__setattr__(self, "ingress_cost", float(ingress_cost))
-
-    def _key(self) -> tuple:
-        return (
-            self.name,
-            tuple(self.max_servers.tolist()),
-            self.location,
-            self.memory_capacity,
-            self.ingress_cost,
-        )
-
-    # Value equality: the generated methods would compare and hash the
-    # ``max_servers`` ndarray, which raises for both.
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DataCenter):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     @property
     def num_server_classes(self) -> int:

@@ -14,14 +14,14 @@ from typing import Sequence
 
 import numpy as np
 
-from repro._validation import require_non_negative_array
+from repro._validation import ValueEquality, require_non_negative_array
 from repro.model.cluster import Cluster
 
 __all__ = ["ClusterState"]
 
 
-@dataclass(frozen=True)
-class ClusterState:
+@dataclass(frozen=True, eq=False)
+class ClusterState(ValueEquality):
     """Snapshot of the data center states for one scheduling slot.
 
     Parameters

@@ -115,10 +115,13 @@ def frank_wolfe(
 
     def vertex(weights: np.ndarray) -> tuple:
         h, energy = oracle(weights)
-        return h, energy - float(np.sum(queue * h)), h.sum(axis=0) @ to_account
+        return h, energy - float((queue * h).sum()), h.sum(axis=0) @ to_account
 
+    # The unchecked kernels: every r below lies in the hull of the
+    # vertices' non-negative account totals (up to rounding), and
+    # total > 0 once past the outage check.
     def grad(r: np.ndarray) -> np.ndarray:
-        return -pull * fairness.gradient(r, total, shares)
+        return -pull * fairness._gradient(r, total, shares)
 
     h0, psi0, r0 = vertex(queue)
     if total <= 0:
@@ -135,7 +138,7 @@ def frank_wolfe(
         r = lam @ rs
         g = grad(r)
         lin = psi + rs @ g
-        worst = int(np.argmax(lin))
+        worst = int(lin.argmax())
         if iterations == max_iterations:
             stats_registry().counter_add("solve.qp.capped")
             break
@@ -149,11 +152,11 @@ def frank_wolfe(
         if not corrective:
             h_s, psi_s, r_s = vertex(queue - g[account_of_type] * demands)
             gap = float(lam @ lin) - (psi_s + float(r_s @ g))
-            objective = float(lam @ psi) - pull * fairness.score(r, total, shares)
+            objective = float(lam @ psi) - pull * fairness._score(r, total, shares)
             if gap <= tolerance * max(1.0, abs(objective)):
                 break
             target = next(
-                (k for k, h_v in enumerate(hs) if np.array_equal(h_v, h_s)), len(hs)
+                (k for k, h_v in enumerate(hs) if (h_v == h_s).all()), len(hs)
             )
             if target == worst:
                 break
@@ -177,13 +180,16 @@ def frank_wolfe(
         stalled = False
         lam = lam + step * direction
         if step == limit:
-            lam[np.flatnonzero(shrinking)[int(np.argmin(ratios))]] = 0.0
+            lam[shrinking.nonzero()[0][int(ratios.argmin())]] = 0.0
         keep = lam > _DROP
         if not keep.all():
             hs = [h_v for h_v, kept in zip(hs, keep) if kept]
             psi, rs, lam = psi[keep], rs[keep], lam[keep]
         lam /= lam.sum()
-    h = np.minimum(np.tensordot(lam, np.stack(hs), axes=1), problem.h_upper)
+    # np.tensordot(lam, np.stack(hs), axes=1) without its Python overhead:
+    # the same dot on the same operands.
+    mixed = np.dot(lam.reshape(1, -1), np.stack(hs).reshape(len(hs), -1))
+    h = np.minimum(mixed.reshape(problem.h_upper.shape), problem.h_upper)
     return h, max(gap, 0.0), iterations
 
 

@@ -12,19 +12,20 @@ subject to eq. (11) and the box bounds.  :class:`SlotServiceProblem`
 captures one instance of this problem — the queue weights, price and
 availability snapshot, upper bounds and fairness model — and offers the
 objective/feasibility evaluations every backend and every cross-check
-test needs.
+test needs, on the slot arithmetic of :mod:`repro.model.action`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List
+from dataclasses import InitVar, dataclass, field
+from typing import List, Optional
 
 import numpy as np
 
 from repro._validation import require_non_negative
 from repro.fairness.base import FairnessFunction
 from repro.fairness.quadratic import QuadraticFairness
+from repro.model.action import account_work, energy_per_site, within
 from repro.model.cluster import Cluster
 from repro.model.pricing import LinearPricing, PricingModel
 from repro.model.state import ClusterState
@@ -40,7 +41,7 @@ _WORK_EPS = 1e-12
 BETA_ZERO_TOL = 1e-12
 
 
-@dataclass
+@dataclass(eq=False)
 class SlotServiceProblem:
     """One slot's service optimization instance.
 
@@ -65,6 +66,11 @@ class SlotServiceProblem:
         paper's linear ``cost = price * energy``.  Any convex pricing
         keeps the slot problem convex; piecewise-linear pricing (linear
         or tiered) keeps the greedy backend exact.
+    checked:
+        If True (default), check the shapes, ``v`` and ``beta``
+        (``ValueError``) and clip ``h_upper`` to ``[0, inf)``, zero off
+        eligibility.  GreFar's per-slot problem passes False: it checked
+        its ``v`` and ``beta`` once, and its bounds already are so.
     """
 
     cluster: Cluster
@@ -75,23 +81,20 @@ class SlotServiceProblem:
     beta: float = 0.0
     fairness: FairnessFunction = field(default_factory=QuadraticFairness)
     pricing: PricingModel = field(default_factory=LinearPricing)
+    checked: InitVar[bool] = True
 
-    def __post_init__(self) -> None:
-        n, j = self.cluster.num_datacenters, self.cluster.num_job_types
-        self.queue_weights = np.asarray(self.queue_weights, dtype=np.float64)
-        self.h_upper = np.asarray(self.h_upper, dtype=np.float64)
-        if self.queue_weights.shape != (n, j):
-            raise ValueError(
-                f"queue_weights must have shape {(n, j)}, got {self.queue_weights.shape}"
-            )
-        if self.h_upper.shape != (n, j):
-            raise ValueError(
-                f"h_upper must have shape {(n, j)}, got {self.h_upper.shape}"
-            )
-        require_non_negative(self.v, "v")
-        require_non_negative(self.beta, "beta")
-        elig = self.cluster.eligibility_matrix()
-        self.h_upper = np.where(elig, np.clip(self.h_upper, 0.0, None), 0.0)
+    def __post_init__(self, checked: bool) -> None:
+        if checked:
+            shape = (self.cluster.num_datacenters, self.cluster.num_job_types)
+            for name in ("queue_weights", "h_upper"):
+                arr = np.asarray(getattr(self, name), dtype=np.float64)
+                if arr.shape != shape:
+                    raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
+                setattr(self, name, arr)
+            require_non_negative(self.v, "v")
+            require_non_negative(self.beta, "beta")
+            elig = self.cluster.eligibility_matrix()
+            self.h_upper = np.where(elig, np.clip(self.h_upper, 0.0, None), 0.0)
         self._supply = supply_matrix(self.cluster, self.state.availability)
         self._capacities = self._supply.sum(axis=1)
         self._capacities.flags.writeable = False
@@ -133,18 +136,12 @@ class SlotServiceProblem:
     def energy_cost(self, h: np.ndarray) -> float:
         """Minimum electricity cost ``e(t)`` to serve *h*.
 
-        Prices the power ``busy_for(h) @ p`` of the cheapest-first busy
-        counts with the configured pricing model; cheapest-servers-first
-        remains optimal for any increasing pricing because cost is
-        increasing in energy.
+        Prices the cheapest-first busy counts ``busy_for(h)`` with the
+        configured pricing model; cheapest-servers-first remains optimal
+        for any increasing pricing because cost is increasing in energy.
         """
         draws = self.busy_for(h) @ self.cluster.active_powers
-        return float(
-            sum(
-                self.pricing.total_cost(float(draw), float(price))
-                for draw, price in zip(draws, self.state.prices)
-            )
-        )
+        return float(np.sum(energy_per_site(self.state.prices, draws, self.pricing)))
 
     def marginal_cost_segments(self, i: int) -> List[tuple]:
         """Merged marginal-cost curve of site *i*: ``[(work, cost/work)]``.
@@ -185,11 +182,7 @@ class SlotServiceProblem:
 
     def account_work(self, h: np.ndarray) -> np.ndarray:
         """Per-account work ``r_m(t)`` implied by service matrix *h*."""
-        cluster = self.cluster
-        per_type = h.sum(axis=0) * cluster.demands
-        return np.bincount(
-            cluster.account_of_type, weights=per_type, minlength=cluster.num_accounts
-        )
+        return account_work(self.cluster, h)
 
     def fairness_score(self, h: np.ndarray) -> float:
         """Fairness ``f(t)`` of the allocation implied by *h*."""
@@ -210,29 +203,37 @@ class SlotServiceProblem:
         value -= float(np.sum(self.queue_weights * h))
         return value
 
-    def busy_for(self, h: np.ndarray) -> np.ndarray:
-        """Optimal busy-server matrix ``b`` for service matrix *h*."""
-        return busy_counts(self.cluster, self._supply, self.loads(h))
+    def busy_for(self, h: np.ndarray, loads: Optional[np.ndarray] = None) -> np.ndarray:
+        """Optimal busy-server matrix ``b`` for service matrix *h*.
+
+        *loads* is ``loads(h)``, if the caller has it already.
+        """
+        if loads is None:
+            loads = self.loads(h)
+        return busy_counts(self.cluster, self._supply, loads, self._capacities)
 
     # ------------------------------------------------------------------
     # Feasibility
     # ------------------------------------------------------------------
-    def is_feasible(self, h: np.ndarray, tol: float = 1e-6) -> bool:
-        """Check box, eligibility, capacity and memory constraints for *h*."""
+    def is_feasible(
+        self, h: np.ndarray, tol: float = 1e-6, loads: Optional[np.ndarray] = None
+    ) -> bool:
+        """Check box, eligibility, capacity and memory constraints for *h*.
+
+        *loads* is ``loads(h)``, if the caller has it already.
+        """
         if h.shape != self.h_upper.shape:
             return False
         if (h < -tol).any() or (h > self.h_upper + tol).any():
             return False
-        loads = self.loads(h)
-        if not (loads <= self._capacities * (1.0 + tol) + tol).all():
+        if loads is None:
+            loads = self.loads(h)
+        if not within(loads, self._capacities, tol):
             return False
         cluster = self.cluster
-        if cluster.has_memory_constraints:
-            used = self.memory_used(h)
-            mem_caps = cluster.memory_capacities
-            if not (used <= mem_caps * (1.0 + tol) + tol).all():
-                return False
-        return True
+        return not cluster.has_memory_constraints or within(
+            self.memory_used(h), cluster.memory_capacities, tol
+        )
 
     def clip_feasible(self, h: np.ndarray) -> np.ndarray:
         """Project *h* to the box; rescale per-site to fit capacity/memory.
@@ -268,7 +269,12 @@ def supply_matrix(cluster: Cluster, availability: np.ndarray) -> np.ndarray:
     return availability[:, order] * cluster.speeds[order]
 
 
-def busy_counts(cluster: Cluster, supply: np.ndarray, loads: np.ndarray) -> np.ndarray:
+def busy_counts(
+    cluster: Cluster,
+    supply: np.ndarray,
+    loads: np.ndarray,
+    totals: Optional[np.ndarray] = None,
+) -> np.ndarray:
     """Cheapest-first busy-server matrix ``b`` carrying *loads* work per site.
 
     For a site with availability ``n_ik`` the cheapest way to provide
@@ -276,13 +282,14 @@ def busy_counts(cluster: Cluster, supply: np.ndarray, loads: np.ndarray) -> np.n
     energy per unit work ``p_k / s_k`` -- a fractional-knapsack argument,
     exact because power and capacity are both linear in ``b_ik``.  So
     the minimum power ``P_i(c) = b_i. @ p`` is piecewise linear and
-    convex in ``c``.  *supply* is :func:`supply_matrix` for the slot;
-    the result is a fresh read-only ``(N, K)`` array in the original
-    class order, which an :class:`~repro.model.action.Action` keeps
-    without a copy.  Raises ``ValueError`` for a negative load or one
-    beyond the site total.
+    convex in ``c``.  *supply* is :func:`supply_matrix` for the slot and
+    *totals* its row sums, if the caller has them already; the result is
+    a fresh read-only ``(N, K)`` array in the original class order, which
+    an :class:`~repro.model.action.Action` keeps without a copy.  Raises
+    ``ValueError`` for a negative load or one beyond the site total.
     """
-    totals = supply.sum(axis=1)
+    if totals is None:
+        totals = supply.sum(axis=1)
     if np.any(loads < -_WORK_EPS):
         raise ValueError(f"site loads must be non-negative, got {loads}")
     over = loads > totals * (1.0 + 1e-9) + 1e-9

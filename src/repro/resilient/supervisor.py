@@ -8,7 +8,9 @@ the horizon.  :class:`SupervisedSolver` wraps the
 1. run the configured backend once,
 2. check its answer once — right shape, finite, and feasible (at
    tolerance 1e-6) after one
-   :meth:`~repro.optimize.slot_problem.SlotServiceProblem.clip_feasible`,
+   :meth:`~repro.optimize.slot_problem.SlotServiceProblem.clip_feasible`;
+   the check computes the site loads of the clipped answer once and
+   hands them on with it (:attr:`SolveOutcome.loads`),
 3. on any failure, record a structured :class:`SolverIncident` and
    degrade down an explicit fallback chain, e.g. ``lp -> greedy ->
    zero``.
@@ -150,12 +152,14 @@ class SolverIncident:
         return text
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolveOutcome:
     """What one supervised solve produced."""
 
     #: The validated (clipped, feasible) service matrix.
     h: np.ndarray
+    #: Its site loads ``problem.loads(h)``, read-only, as the check computed them.
+    loads: np.ndarray
     #: Label of the backend that finally served the slot.
     backend: str
     #: True when the serving backend was not the first chain entry.
@@ -236,8 +240,10 @@ class SupervisedSolver:
                 reg.counter_add(f"resilient.fallback.{label}")
                 if label == "zero":
                     reg.counter_add("resilient.zero_actions")
+            h, loads = result
             return SolveOutcome(
-                h=result,
+                h=h,
+                loads=loads,
                 backend=label,
                 degraded=degraded,
                 incidents=tuple(call_incidents),
@@ -257,8 +263,8 @@ class SupervisedSolver:
 
         The one check of a backend result: shape, finite, one
         ``clip_feasible`` and one ``is_feasible`` at its default
-        tolerance of 1e-6.  Returns the clipped ``h`` on success, a
-        :class:`_Failure` otherwise.
+        tolerance of 1e-6.  Returns the clipped ``h`` and its read-only
+        site loads on success, a :class:`_Failure` otherwise.
         """
         try:
             raw = backend(problem)
@@ -277,13 +283,15 @@ class SupervisedSolver:
         h = problem.clip_feasible(raw)
         if (h != raw).any():
             stats_registry().counter_add("resilient.clip.changed")
-        if not problem.is_feasible(h):
+        loads = problem.loads(h)
+        loads.flags.writeable = False
+        if not problem.is_feasible(h, loads=loads):
             return _Failure("infeasible", "clipped solution violates constraints")
         if contracts_enabled() and not np.allclose(
             problem.clip_feasible(h), h, rtol=0.0, atol=1e-9
         ):
             raise ContractViolation("clip_feasible is not idempotent here")
-        return h
+        return h, loads
 
     def _record(self, call_incidents, incident: SolverIncident) -> None:
         call_incidents.append(incident)

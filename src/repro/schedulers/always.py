@@ -21,9 +21,7 @@ from repro.model.action import Action
 from repro.model.cluster import Cluster
 from repro.model.queues import QueueNetwork
 from repro.model.state import ClusterState
-from repro.optimize.slot_problem import SlotServiceProblem
-from repro.resilient.supervisor import solve_service
-from repro.schedulers.base import Scheduler, route_greedily, service_upper_bounds
+from repro.schedulers.base import Scheduler, route_greedily, serve_eagerly
 
 __all__ = ["AlwaysScheduler"]
 
@@ -42,14 +40,4 @@ class AlwaysScheduler(Scheduler):
         route = route_greedily(
             self.cluster, front, dc, capacities=state.capacities(self.cluster)
         )
-        h_upper = service_upper_bounds(self.cluster, state, dc)
-        problem = SlotServiceProblem(
-            cluster=self.cluster,
-            state=state,
-            queue_weights=dc,
-            h_upper=h_upper,
-            v=0.0,
-            beta=0.0,
-        )
-        h = solve_service(problem, primary="greedy", slot=t)
-        return Action(route, h, problem.busy_for(h))
+        return serve_eagerly(t, self.cluster, state, dc, route)

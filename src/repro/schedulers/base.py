@@ -19,8 +19,10 @@ from repro.model.action import Action
 from repro.model.cluster import Cluster
 from repro.model.queues import QueueNetwork, whole_jobs
 from repro.model.state import ClusterState
+from repro.optimize.slot_problem import SlotServiceProblem
+from repro.resilient.supervisor import solve_service
 
-__all__ = ["Scheduler", "route_greedily", "service_upper_bounds"]
+__all__ = ["Scheduler", "route_greedily", "serve_eagerly", "service_upper_bounds"]
 
 
 def service_upper_bounds(
@@ -44,6 +46,20 @@ def service_upper_bounds(
         bounds, parallelism_service_bounds(cluster, state, dc_queue_lengths)
     )
     return bounds
+
+
+def serve_eagerly(
+    t: int, cluster: Cluster, state: ClusterState, dc: np.ndarray, route: np.ndarray,
+    open_sites: np.ndarray | None = None,
+) -> Action:
+    """The eager baselines' action: route *route*, and serve all the supervised
+    greedy backend will at ``V = 0`` at the sites *open_sites* marks (default all)."""
+    h_upper = service_upper_bounds(cluster, state, dc)
+    if open_sites is not None:
+        h_upper = h_upper * open_sites[:, np.newaxis]
+    problem = SlotServiceProblem(cluster, state, dc, h_upper, v=0.0)
+    h = solve_service(problem, primary="greedy", slot=t)
+    return Action(route, h, problem.busy_for(h))
 
 
 class Scheduler(ABC):

@@ -10,16 +10,12 @@ queue-length term prevents.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro._validation import require_non_negative
 from repro.model.action import Action
 from repro.model.cluster import Cluster
 from repro.model.queues import QueueNetwork
 from repro.model.state import ClusterState
-from repro.optimize.slot_problem import SlotServiceProblem
-from repro.resilient.supervisor import solve_service
-from repro.schedulers.base import Scheduler, route_greedily, service_upper_bounds
+from repro.schedulers.base import Scheduler, route_greedily, serve_eagerly
 
 __all__ = ["PriceThresholdScheduler"]
 
@@ -40,16 +36,5 @@ class PriceThresholdScheduler(Scheduler):
         route = route_greedily(
             self.cluster, front, dc, capacities=state.capacities(self.cluster)
         )
-        h_upper = service_upper_bounds(self.cluster, state, dc)
         cheap = state.prices <= self.threshold
-        h_upper = h_upper * cheap[:, np.newaxis]
-        problem = SlotServiceProblem(
-            cluster=self.cluster,
-            state=state,
-            queue_weights=dc,
-            h_upper=h_upper,
-            v=0.0,
-            beta=0.0,
-        )
-        h = solve_service(problem, primary="greedy", slot=t)
-        return Action(route, h, problem.busy_for(h))
+        return serve_eagerly(t, self.cluster, state, dc, route, open_sites=cheap)

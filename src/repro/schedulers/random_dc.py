@@ -14,9 +14,7 @@ from repro.model.action import Action
 from repro.model.cluster import Cluster
 from repro.model.queues import QueueNetwork, whole_jobs
 from repro.model.state import ClusterState
-from repro.optimize.slot_problem import SlotServiceProblem
-from repro.resilient.supervisor import solve_service
-from repro.schedulers.base import Scheduler, service_upper_bounds
+from repro.schedulers.base import Scheduler, serve_eagerly
 
 __all__ = ["RandomRoutingScheduler"]
 
@@ -53,14 +51,4 @@ class RandomRoutingScheduler(Scheduler):
             counts = np.bincount(picks, minlength=n).astype(np.float64)
             route[:, j] = np.minimum(counts, max_route[:, j])
 
-        h_upper = service_upper_bounds(cluster, state, dc)
-        problem = SlotServiceProblem(
-            cluster=cluster,
-            state=state,
-            queue_weights=dc,
-            h_upper=h_upper,
-            v=0.0,
-            beta=0.0,
-        )
-        h = solve_service(problem, primary="greedy", slot=t)
-        return Action(route, h, problem.busy_for(h))
+        return serve_eagerly(t, cluster, state, dc, route)

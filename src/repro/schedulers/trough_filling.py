@@ -23,9 +23,7 @@ from repro.model.action import Action
 from repro.model.cluster import Cluster
 from repro.model.queues import QueueNetwork
 from repro.model.state import ClusterState
-from repro.optimize.slot_problem import SlotServiceProblem
-from repro.resilient.supervisor import solve_service
-from repro.schedulers.base import Scheduler, route_greedily, service_upper_bounds
+from repro.schedulers.base import Scheduler, route_greedily, serve_eagerly
 
 __all__ = ["TroughFillingScheduler"]
 
@@ -92,15 +90,4 @@ class TroughFillingScheduler(Scheduler):
                 serve_site[i] = True
             hist.append(price)
 
-        h_upper = service_upper_bounds(cluster, state, dc)
-        h_upper = h_upper * serve_site[:, np.newaxis]
-        problem = SlotServiceProblem(
-            cluster=cluster,
-            state=state,
-            queue_weights=dc,
-            h_upper=h_upper,
-            v=0.0,
-            beta=0.0,
-        )
-        h = solve_service(problem, primary="greedy", slot=t)
-        return Action(route, h, problem.busy_for(h))
+        return serve_eagerly(t, cluster, state, dc, route, open_sites=serve_site)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro._validation import is_sealed
+from repro._validation import ValueEquality, is_sealed
 from repro.model.cluster import Cluster
 from repro.model.state import ClusterState
 from repro.workloads.availability import AvailabilityModel
@@ -31,12 +31,13 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class Scenario:
+@dataclass(frozen=True, eq=False)
+class Scenario(ValueEquality):
     """A complete simulation input: who arrives, what is up, what power costs.
 
     The three arrays are validated once and kept read-only, so one
-    scenario can be shared by any number of runs.
+    scenario can be shared by any number of runs.  Two scenarios are
+    equal when their clusters and arrays are.
 
     Attributes
     ----------

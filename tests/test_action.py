@@ -131,6 +131,51 @@ class TestDerived:
         np.testing.assert_allclose(a.account_work(cluster), [3.0, 6.0])
 
 
+class TestValueSemantics:
+    def test_equal_actions_compare_and_hash_equal(self, cluster):
+        assert Action.idle(cluster) == Action.idle(cluster)
+        assert hash(Action.idle(cluster)) == hash(Action.idle(cluster))
+        busy = np.zeros((2, 2))
+        busy[0, 0] = 1.0
+        other = Action(np.zeros((2, 2)), np.zeros((2, 2)), busy)
+        assert other != Action.idle(cluster)
+        assert Action.idle(cluster) != "idle"
+
+    def test_negative_zero_inputs_are_equal(self, cluster):
+        assert Action(-np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2))) == Action.idle(
+            cluster
+        )
+
+    def test_work_is_computed_once_per_cluster(self, cluster):
+        h = np.array([[2.0, 0.0], [1.0, 3.0]])
+        a = Action(np.zeros((2, 2)), h, np.zeros((2, 2)))
+        work, accounts = a.work_served(cluster), a.account_work(cluster)
+        assert a.work_served(cluster) is work and a.account_work(cluster) is accounts
+        assert not work.flags.writeable and not accounts.flags.writeable
+
+    def test_cached_work_stays_out_of_equality_and_pickles(self, cluster):
+        import pickle
+
+        a, b = Action.idle(cluster), Action.idle(cluster)
+        a.work_served(cluster)
+        a.account_work(cluster)
+        assert a == b and hash(a) == hash(b)
+        restored = pickle.loads(pickle.dumps(a))
+        assert set(restored.__dict__) == {"route", "serve", "busy"}
+        assert restored == a
+        assert not any(arr.flags.writeable for arr in (restored.route, restored.serve, restored.busy))
+
+    def test_adopts_loads_only_for_its_own_serve(self, cluster):
+        h = np.array([[2.0, 0.0], [1.0, 3.0]])
+        h.flags.writeable = False
+        loads = h @ cluster.demands
+        kept = Action(np.zeros((2, 2)), h, np.zeros((2, 2)))._keep_work(cluster, h, loads)
+        assert kept.work_served(cluster) is loads
+        copied = Action(np.zeros((2, 2)), h.copy(), np.zeros((2, 2)))
+        copied._keep_work(cluster, h, loads)
+        assert copied.work_served(cluster) is not loads
+
+
 class TestValidate:
     def test_idle_is_valid(self, cluster, state):
         _zeros(cluster).validate(cluster, state)

@@ -66,6 +66,19 @@ class TestDerived:
         assert not restored.prices.flags.writeable
         np.testing.assert_array_equal(restored.capacities(cluster), state.capacities(cluster))
 
+    def test_value_equality_ignores_the_cache(self, cluster):
+        avail = np.stack([dc.max_servers for dc in cluster.datacenters])
+        a, b = ClusterState(avail, [0.4, 0.5]), ClusterState(avail, [0.4, 0.5])
+        a.capacities(cluster)
+        assert a == b and hash(a) == hash(b)
+        assert a != ClusterState(avail, [0.4, 0.6])
+        assert ClusterState(avail, [-0.0, 0.5]) == ClusterState(avail, [0.0, 0.5])
+
+    def test_missing_signals_compare_equal(self):
+        a = ClusterState(np.ones((2, 2)), [np.nan, 0.5], missing_ok=True)
+        b = ClusterState(np.ones((2, 2)), [np.nan, 0.5], missing_ok=True)
+        assert a == b and hash(a) == hash(b)
+
     def test_trace_snapshot_keeps_the_arrays(self):
         avail = np.ones((2, 2))
         prices = np.array([0.4, 0.5])

@@ -125,6 +125,19 @@ class TestReadOnly:
         for arr in (restored.arrivals, restored.availability, restored.prices):
             assert not arr.flags.writeable
 
+    def test_value_equality(self):
+        import pickle
+
+        cluster = small_cluster()
+        scn = Scenario(cluster, *_arrays(cluster))
+        same = Scenario(small_cluster(), *_arrays(cluster))
+        assert scn == same and hash(scn) == hash(same)
+        assert scn == pickle.loads(pickle.dumps(scn))
+        assert scn != scn.truncated(4)
+        assert scn.state_at(0) == same.state_at(0)
+        assert scn.state_at(0) != scn.state_at(1)
+        assert len({scn.state_at(0), same.state_at(0)}) == 1
+
     def test_truncated_shares_the_frozen_arrays(self):
         cluster = small_cluster()
         scn = Scenario(cluster, *_arrays(cluster))
