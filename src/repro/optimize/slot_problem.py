@@ -270,10 +270,7 @@ def supply_matrix(cluster: Cluster, availability: np.ndarray) -> np.ndarray:
 
 
 def busy_counts(
-    cluster: Cluster,
-    supply: np.ndarray,
-    loads: np.ndarray,
-    totals: Optional[np.ndarray] = None,
+    cluster: Cluster, supply: np.ndarray, loads: np.ndarray, totals: Optional[np.ndarray] = None
 ) -> np.ndarray:
     """Cheapest-first busy-server matrix ``b`` carrying *loads* work per site.
 
