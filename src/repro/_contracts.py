@@ -17,17 +17,15 @@ invariant families are covered:
 
 Checks are toggled by the ``REPRO_CONTRACTS`` environment variable
 (``1``/``true``/``on``/``yes``) and re-read on every call, so a test can
-flip them with ``monkeypatch.setenv`` -- except inside
-:class:`pinned_contracts`, which ``Simulator.step`` opens: a slot reads
-the variable once.  The test suite runs with contracts on (see
-``tests/conftest.py``).
+flip them with ``monkeypatch.setenv``.  When disabled the decorated hot
+paths pay one dict lookup per slot, nothing more.  The test suite runs
+with contracts on (see ``tests/conftest.py``).
 """
 
 from __future__ import annotations
 
 import functools
 import os
-import threading
 from typing import Callable
 
 import numpy as np
@@ -35,7 +33,6 @@ import numpy as np
 __all__ = [
     "ContractViolation",
     "contracts_enabled",
-    "pinned_contracts",
     "checked_step",
     "verify_queue_invariants",
     "verify_action_capacity",
@@ -49,34 +46,14 @@ class ContractViolation(AssertionError):
     """A runtime invariant the paper's analysis relies on was broken."""
 
 
-_TRUTHY = frozenset({"1", "true", "on", "yes"})
-_pin = threading.local()  # .value: what this thread's open pinned_contracts read
-
-
 def contracts_enabled() -> bool:
     """True when ``REPRO_CONTRACTS`` requests runtime invariant checks."""
-    pinned = getattr(_pin, "value", None)
-    if pinned is not None:
-        return pinned
-    return os.environ.get("REPRO_CONTRACTS", "").strip().lower() in _TRUTHY
-
-
-class pinned_contracts:
-    """``with pinned_contracts() as checks:`` reads ``REPRO_CONTRACTS`` once.
-
-    Until the block exits, :func:`contracts_enabled` answers with that
-    value in this thread.
-    """
-
-    __slots__ = ("_outer",)
-
-    def __enter__(self) -> bool:
-        self._outer = getattr(_pin, "value", None)
-        _pin.value = checks = contracts_enabled()
-        return checks
-
-    def __exit__(self, *exc) -> None:
-        _pin.value = self._outer
+    return os.environ.get("REPRO_CONTRACTS", "").strip().lower() in {
+        "1",
+        "true",
+        "on",
+        "yes",
+    }
 
 
 # ----------------------------------------------------------------------

@@ -158,8 +158,6 @@ class GreFarScheduler(Scheduler):
     # ------------------------------------------------------------------
     def _problem(self, state: ClusterState, dc: np.ndarray) -> SlotServiceProblem:
         h_upper = service_upper_bounds(self.cluster, state, dc, self.physical)
-        # Unchecked: v and beta were checked in __init__, and the bounds
-        # are (N, J), non-negative and zero off eligibility.
         return SlotServiceProblem(
             cluster=self.cluster,
             state=state,
@@ -169,7 +167,6 @@ class GreFarScheduler(Scheduler):
             beta=self.beta,
             fairness=self.fairness,
             pricing=self.pricing,
-            checked=False,
         )
 
     def select_backend(self) -> str:

@@ -69,6 +69,8 @@ class CostModel:
         """Cost of the idle draw of every available server this slot."""
         idle_powers = np.array([c.idle_power for c in cluster.server_classes])
         draws = state.availability @ idle_powers
+        if self.pricing is None:
+            return float(np.dot(state.prices, draws))
         return float(np.sum(energy_per_site(state.prices, draws, self.pricing)))
 
     def evaluate(self, cluster: Cluster, state: ClusterState, action: Action) -> SlotCost:

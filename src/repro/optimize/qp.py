@@ -115,7 +115,7 @@ def frank_wolfe(
 
     def vertex(weights: np.ndarray) -> tuple:
         h, energy = oracle(weights)
-        return h, energy - float((queue * h).sum()), h.sum(axis=0) @ to_account
+        return h, energy - float(np.sum(queue * h)), h.sum(axis=0) @ to_account
 
     # The unchecked kernels: every r below lies in the hull of the
     # vertices' non-negative account totals (up to rounding), and
@@ -138,7 +138,7 @@ def frank_wolfe(
         r = lam @ rs
         g = grad(r)
         lin = psi + rs @ g
-        worst = int(lin.argmax())
+        worst = int(np.argmax(lin))
         if iterations == max_iterations:
             stats_registry().counter_add("solve.qp.capped")
             break
@@ -156,7 +156,7 @@ def frank_wolfe(
             if gap <= tolerance * max(1.0, abs(objective)):
                 break
             target = next(
-                (k for k, h_v in enumerate(hs) if (h_v == h_s).all()), len(hs)
+                (k for k, h_v in enumerate(hs) if np.array_equal(h_v, h_s)), len(hs)
             )
             if target == worst:
                 break
@@ -180,16 +180,13 @@ def frank_wolfe(
         stalled = False
         lam = lam + step * direction
         if step == limit:
-            lam[shrinking.nonzero()[0][int(ratios.argmin())]] = 0.0
+            lam[np.flatnonzero(shrinking)[int(np.argmin(ratios))]] = 0.0
         keep = lam > _DROP
         if not keep.all():
             hs = [h_v for h_v, kept in zip(hs, keep) if kept]
             psi, rs, lam = psi[keep], rs[keep], lam[keep]
         lam /= lam.sum()
-    # np.tensordot(lam, np.stack(hs), axes=1) without its Python overhead:
-    # the same dot on the same operands.
-    mixed = np.dot(lam.reshape(1, -1), np.stack(hs).reshape(len(hs), -1))
-    h = np.minimum(mixed.reshape(problem.h_upper.shape), problem.h_upper)
+    h = np.minimum(np.tensordot(lam, np.stack(hs), axes=1), problem.h_upper)
     return h, max(gap, 0.0), iterations
 
 

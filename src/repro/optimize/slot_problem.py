@@ -17,7 +17,7 @@ test needs, on the slot arithmetic of :mod:`repro.model.action`.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
@@ -66,11 +66,6 @@ class SlotServiceProblem:
         paper's linear ``cost = price * energy``.  Any convex pricing
         keeps the slot problem convex; piecewise-linear pricing (linear
         or tiered) keeps the greedy backend exact.
-    checked:
-        If True (default), check the shapes, ``v`` and ``beta``
-        (``ValueError``) and clip ``h_upper`` to ``[0, inf)``, zero off
-        eligibility.  GreFar's per-slot problem passes False: it checked
-        its ``v`` and ``beta`` once, and its bounds already are so.
     """
 
     cluster: Cluster
@@ -81,20 +76,18 @@ class SlotServiceProblem:
     beta: float = 0.0
     fairness: FairnessFunction = field(default_factory=QuadraticFairness)
     pricing: PricingModel = field(default_factory=LinearPricing)
-    checked: InitVar[bool] = True
 
-    def __post_init__(self, checked: bool) -> None:
-        if checked:
-            shape = (self.cluster.num_datacenters, self.cluster.num_job_types)
-            for name in ("queue_weights", "h_upper"):
-                arr = np.asarray(getattr(self, name), dtype=np.float64)
-                if arr.shape != shape:
-                    raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-                setattr(self, name, arr)
-            require_non_negative(self.v, "v")
-            require_non_negative(self.beta, "beta")
-            elig = self.cluster.eligibility_matrix()
-            self.h_upper = np.where(elig, np.clip(self.h_upper, 0.0, None), 0.0)
+    def __post_init__(self) -> None:
+        shape = (self.cluster.num_datacenters, self.cluster.num_job_types)
+        for name in ("queue_weights", "h_upper"):
+            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            if arr.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
+            setattr(self, name, arr)
+        require_non_negative(self.v, "v")
+        require_non_negative(self.beta, "beta")
+        elig = self.cluster.eligibility_matrix()
+        self.h_upper = np.where(elig, np.clip(self.h_upper, 0.0, None), 0.0)
         self._supply = supply_matrix(self.cluster, self.state.availability)
         self._capacities = self._supply.sum(axis=1)
         self._capacities.flags.writeable = False

@@ -34,7 +34,7 @@ from repro.model.action import Action
 from repro.model.cluster import Cluster
 from repro.model.queues import QueueNetwork
 from repro.model.state import ClusterState
-from repro.optimize.slot_problem import SlotServiceProblem
+from repro.optimize.slot_problem import busy_counts, supply_matrix
 from repro.schedulers.base import Scheduler, route_greedily, service_upper_bounds
 from repro.simulation.trace import Scenario
 
@@ -128,11 +128,18 @@ class RecedingHorizonScheduler(Scheduler):
         route = route_greedily(
             self.cluster, front, dc, capacities=state.capacities(self.cluster)
         )
-        # Clip the plan to today's bounds, capacity and memory.
         h_upper = service_upper_bounds(self.cluster, state, dc)
-        problem = SlotServiceProblem(self.cluster, state, dc, h_upper, v=0.0)
-        h = problem.clip_feasible(planned)
-        return Action(route, h, problem.busy_for(h))
+        h = np.minimum(planned, h_upper)
+        # Clip the plan to today's actual capacity.
+        caps = state.capacities(self.cluster)
+        loads = h @ self.cluster.demands
+        for i in range(self.cluster.num_datacenters):
+            if loads[i] > caps[i] > 0:
+                h[i] *= caps[i] / loads[i]
+            elif caps[i] <= 0:
+                h[i] = 0.0
+        busy = self._busy_for(h, state)
+        return Action(route, h, busy)
 
     # ------------------------------------------------------------------
     # Forecasting
@@ -241,3 +248,9 @@ class RecedingHorizonScheduler(Scheduler):
             plan = np.tile(h_bound[np.newaxis], (w, 1, 1))
             return plan
         return result.x[:num_h].reshape(w, n, j_count)
+
+    # ------------------------------------------------------------------
+    def _busy_for(self, h: np.ndarray, state: ClusterState) -> np.ndarray:
+        supply = supply_matrix(self.cluster, state.availability)
+        loads = np.clip(h @ self.cluster.demands, 0.0, supply.sum(axis=1))
+        return busy_counts(self.cluster, supply, loads)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro._contracts import pinned_contracts, verify_action_capacity
+from repro._contracts import contracts_enabled, verify_action_capacity
 from repro.core.objective import CostModel
 from repro.model.action import Action
 from repro.model.queues import QueueNetwork
@@ -162,79 +162,76 @@ class Simulator:
         :meth:`run` loop and the live service both advance through this
         method.  Call :meth:`reset` or :meth:`restore` first.
         """
-        # REPRO_CONTRACTS is read once per slot; every check below and
-        # in the scheduler and queue step sees that one value.
-        with pinned_contracts() as checks:
-            t = self.next_slot
-            cluster = self.scenario.cluster
-            queues = self.queues
-            injector = self.injector
-            reg = metrics_registry()
-            slot_start = reg.clock() if reg.enabled else 0.0
-            state = self.scenario.state_at(t)
-            requeued = None
-            if injector is not None:
-                # Outage-onset evictions happen before the scheduler
-                # looks at the queues; capacity faults apply to the
-                # ground truth, signal faults only to what is observed.
-                requeued = injector.begin_slot(t, queues)
-                state = injector.true_state(t, state)
-                observed = injector.observed_state(t, state)
-            else:
-                observed = state
-            action = self.scheduler.decide(t, observed, queues)
-            if injector is not None:
-                action = injector.filter_action(t, action, state)
-            if self.enforce_physical:
-                action = queues.clip_to_content(action)
-            if self.validate or checks:
-                # Eqs. 4, 5 and 11 feasibility of the applied action.
-                verify_action_capacity(cluster, state, action)
-            if self.admission is not None:
-                admitted = self.admission.admit(t, arrivals, queues, cluster)
-                self.dropped += float(np.sum(arrivals - admitted))
-                arrivals = admitted
-            self.admitted_total += float(np.sum(arrivals))
-            if requeued is not None:
-                # Re-admitted work joins through the same eq. (12)
-                # arrival path but was already counted on first arrival,
-                # so it bypasses admission and the arrived total.
-                arrivals = arrivals + requeued
-            outcome = queues.step(action, arrivals, t)
-            for observer in self.observers:
-                observer(t, state, action, queues)
-            served_jobs = float(outcome["served"].sum())
-            cost = self.cost_model.evaluate(cluster, state, action)
-            self.metrics.record(
-                energy=cost.energy,
-                fairness=cost.fairness,
-                combined=cost.combined,
-                work_per_dc=action.work_served(cluster),
-                served_jobs=served_jobs,
-                queues=queues,
-            )
-            if reg.enabled:
-                # Fold the scheduler's per-decision solve record (if it
-                # left one) into this slot's structured trace event.
-                solve = reg.consume_solve()
-                reg.timer_add("sim.slot", reg.clock() - slot_start)
-                reg.emit(
-                    SlotTraceEvent(
-                        slot=t,
-                        scheduler=self.scheduler.name,
-                        front_backlog=float(np.sum(queues.front)),
-                        dc_backlog=float(np.sum(queues.dc)),
-                        solver=str(solve.get("solver", "")),
-                        iterations=int(solve.get("iterations", 0)),
-                        gap=float(solve.get("gap", 0.0)),
-                        objective=float(solve.get("objective", 0.0)),
-                        solve_seconds=float(solve.get("solve_seconds", 0.0)),
-                        energy_cost=float(cost.energy),
-                        served_jobs=served_jobs,
-                    )
+        t = self.next_slot
+        cluster = self.scenario.cluster
+        queues = self.queues
+        injector = self.injector
+        reg = metrics_registry()
+        slot_start = reg.clock() if reg.enabled else 0.0
+        state = self.scenario.state_at(t)
+        requeued = None
+        if injector is not None:
+            # Outage-onset evictions happen before the scheduler
+            # looks at the queues; capacity faults apply to the
+            # ground truth, signal faults only to what is observed.
+            requeued = injector.begin_slot(t, queues)
+            state = injector.true_state(t, state)
+            observed = injector.observed_state(t, state)
+        else:
+            observed = state
+        action = self.scheduler.decide(t, observed, queues)
+        if injector is not None:
+            action = injector.filter_action(t, action, state)
+        if self.enforce_physical:
+            action = queues.clip_to_content(action)
+        if self.validate or contracts_enabled():
+            # Eqs. 4, 5 and 11 feasibility of the applied action.
+            verify_action_capacity(cluster, state, action)
+        if self.admission is not None:
+            admitted = self.admission.admit(t, arrivals, queues, cluster)
+            self.dropped += float(np.sum(arrivals - admitted))
+            arrivals = admitted
+        self.admitted_total += float(np.sum(arrivals))
+        if requeued is not None:
+            # Re-admitted work joins through the same eq. (12)
+            # arrival path but was already counted on first arrival,
+            # so it bypasses admission and the arrived total.
+            arrivals = arrivals + requeued
+        outcome = queues.step(action, arrivals, t)
+        for observer in self.observers:
+            observer(t, state, action, queues)
+        served_jobs = float(outcome["served"].sum())
+        cost = self.cost_model.evaluate(cluster, state, action)
+        self.metrics.record(
+            energy=cost.energy,
+            fairness=cost.fairness,
+            combined=cost.combined,
+            work_per_dc=action.work_served(cluster),
+            served_jobs=served_jobs,
+            queues=queues,
+        )
+        if reg.enabled:
+            # Fold the scheduler's per-decision solve record (if it
+            # left one) into this slot's structured trace event.
+            solve = reg.consume_solve()
+            reg.timer_add("sim.slot", reg.clock() - slot_start)
+            reg.emit(
+                SlotTraceEvent(
+                    slot=t,
+                    scheduler=self.scheduler.name,
+                    front_backlog=float(np.sum(queues.front)),
+                    dc_backlog=float(np.sum(queues.dc)),
+                    solver=str(solve.get("solver", "")),
+                    iterations=int(solve.get("iterations", 0)),
+                    gap=float(solve.get("gap", 0.0)),
+                    objective=float(solve.get("objective", 0.0)),
+                    solve_seconds=float(solve.get("solve_seconds", 0.0)),
+                    energy_cost=float(cost.energy),
+                    served_jobs=served_jobs,
                 )
-            self.next_slot = t + 1
-            return action
+            )
+        self.next_slot = t + 1
+        return action
 
     def summary(self) -> SimulationSummary:
         """Aggregate the slots run so far."""

@@ -2,31 +2,24 @@
 
 Inside one GreFar slot the code hands its own by-products on unchecked:
 the supervisor's site loads feed the busy counts and the recorded work,
-GreFar builds its slot problem without re-checking it, Frank-Wolfe and
-the cost model call the fairness kernels directly, and a simulator step
-reads ``REPRO_CONTRACTS`` once.  These tests pin down that the boundary
-checks still fire, and that every unchecked path computes exactly what
-its checked counterpart does.
+and Frank-Wolfe and the cost model call the fairness kernels directly.
+These tests pin down that the boundary checks still fire, and that every
+unchecked path computes exactly what its checked counterpart does.
 """
 
 from __future__ import annotations
-
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro._contracts as contracts
-from repro._contracts import contracts_enabled, pinned_contracts
 from repro.core.grefar import GreFarScheduler
 from repro.fairness import AlphaFairness, JainFairness, MaxMinFairness, QuadraticFairness
 from repro.model.queues import QueueNetwork
 from repro.optimize.slot_problem import SlotServiceProblem
 from repro.resilient import SupervisedSolver
 from repro.scenarios import small_scenario
-from repro.simulation.simulator import Simulator
 
 FAIRNESS = [
     QuadraticFairness(),
@@ -83,30 +76,8 @@ def test_outcome_carries_the_checked_loads(cluster, state):
 
 
 # ----------------------------------------------------------------------
-# GreFar: the slot problem it builds unchecked, the work it hands on
+# GreFar: the public constructor's checks, the work it hands on
 # ----------------------------------------------------------------------
-@settings(max_examples=40, deadline=None)
-@given(
-    queues=st.lists(st.floats(0.0, 50.0), min_size=4, max_size=4),
-    slot=st.integers(0, 19),
-    physical=st.booleans(),
-)
-def test_unchecked_problem_equals_the_checked_one(queues, slot, physical):
-    scenario = small_scenario(horizon=20, seed=2)
-    cluster = scenario.cluster
-    state = scenario.state_at(slot)
-    dc = np.array(queues).reshape(cluster.num_datacenters, cluster.num_job_types)
-    scheduler = GreFarScheduler(cluster, v=3.0, beta=5.0, physical=physical)
-    fast = scheduler._problem(state, dc)
-    checked = SlotServiceProblem(
-        cluster, state, fast.queue_weights, fast.h_upper, v=3.0, beta=5.0,
-        fairness=scheduler.fairness, pricing=scheduler.pricing,
-    )
-    for name in ("queue_weights", "h_upper", "_supply", "_capacities"):
-        assert _bits(getattr(fast, name)) == _bits(getattr(checked, name)), name
-    assert fast.total_resource == checked.total_resource
-
-
 def test_public_constructor_still_checks(cluster, state):
     shape = (cluster.num_datacenters, cluster.num_job_types)
     ok = np.ones(shape)
@@ -179,64 +150,3 @@ def test_kernels_equal_checked_methods_bit_for_bit(fairness, alloc, total):
     assert _bits(fairness._gradient(alloc, total, SHARES)) == _bits(
         fairness.gradient(alloc, total, SHARES)
     )
-
-
-# ----------------------------------------------------------------------
-# REPRO_CONTRACTS: read once per simulator step
-# ----------------------------------------------------------------------
-def test_pinned_value_holds_until_exit(monkeypatch):
-    monkeypatch.setenv("REPRO_CONTRACTS", "1")
-    with pinned_contracts() as checks:
-        assert checks
-        monkeypatch.setenv("REPRO_CONTRACTS", "0")
-        assert contracts_enabled()
-        with pinned_contracts() as inner:
-            assert inner
-        assert contracts_enabled()
-    assert not contracts_enabled()
-
-
-def test_pin_is_per_thread(monkeypatch):
-    import threading
-
-    monkeypatch.setenv("REPRO_CONTRACTS", "1")
-    pinned, release = threading.Event(), threading.Event()
-
-    def hold():
-        with pinned_contracts():
-            pinned.set()
-            release.wait(timeout=10)
-
-    worker = threading.Thread(target=hold)
-    worker.start()
-    try:
-        assert pinned.wait(timeout=10)
-        monkeypatch.setenv("REPRO_CONTRACTS", "0")
-        assert not contracts_enabled()
-    finally:
-        release.set()
-        worker.join(timeout=10)
-    assert not worker.is_alive()
-
-
-class _CountingEnviron(dict):
-    reads = 0
-
-    def get(self, key, default=None):
-        if key == "REPRO_CONTRACTS":
-            type(self).reads += 1
-        return super().get(key, default)
-
-
-@pytest.mark.parametrize("flag", ["0", "1"])
-@pytest.mark.parametrize("beta", [0.0, 100.0])
-def test_one_environment_read_per_step(monkeypatch, flag, beta):
-    scenario = small_scenario(horizon=10, seed=3)
-    simulator = Simulator(scenario, GreFarScheduler(scenario.cluster, v=2.0, beta=beta))
-    simulator.reset()
-    environ = _CountingEnviron(REPRO_CONTRACTS=flag)
-    monkeypatch.setattr(contracts, "os", SimpleNamespace(environ=environ))
-    _CountingEnviron.reads = 0
-    for t in range(5):
-        simulator.step(scenario.arrivals[t])
-    assert _CountingEnviron.reads == 5
