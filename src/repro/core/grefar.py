@@ -38,11 +38,11 @@ from repro.fairness.quadratic import QuadraticFairness
 from repro.model.action import Action
 from repro.model.cluster import Cluster
 from repro.model.pricing import LinearPricing
-from repro.model.queues import QueueNetwork, whole_jobs
+from repro.model.queues import QueueNetwork
 from repro.model.state import ClusterState
 from repro.optimize.slot_problem import SlotServiceProblem
 from repro.resilient.supervisor import SolveOutcome, SupervisedSolver
-from repro.schedulers.base import Scheduler, service_upper_bounds
+from repro.schedulers.base import Scheduler, routable_sites, route_greedily, service_upper_bounds
 
 __all__ = ["GreFarScheduler"]
 
@@ -126,30 +126,17 @@ class GreFarScheduler(Scheduler):
         """Route to every eligible, powered site with a negative coefficient.
 
         Unphysical runs send ``r_ij^max`` to each such site.  Physical
-        runs fill the sites most-negative coefficient first (ties by
-        site index) until ``whole_jobs(Q_j)`` is spent.  The bounds and
-        budget are whole numbers, so the cumulative sum is exact.
+        runs fill the sites most-negative coefficient first
+        (:func:`~repro.schedulers.base.route_greedily`) until
+        ``whole_jobs(Q_j)`` is spent.
         """
         cluster = self.cluster
         transfer = (self.v * cluster.ingress_costs)[:, np.newaxis] * cluster.demands
         coefficient = dc - front + transfer
-        negative = (
-            cluster.eligibility_matrix()
-            & (capacities > 0.0)[:, np.newaxis]
-            & (coefficient < 0)
-        )
-        max_route = cluster.max_route_matrix()
-        if not self.physical:
-            route = np.where(negative, max_route, 0.0)
-            route.flags.writeable = False
-            return route
-        order = np.where(negative, coefficient, np.inf).argsort(axis=0, kind="stable")
-        columns = np.arange(coefficient.shape[1])
-        bounds = np.where(negative, max_route, 0.0)[order, columns]
-        filled = bounds.cumsum(axis=0)
-        budget = whole_jobs(front)
-        route = np.empty_like(coefficient)
-        route[order, columns] = np.minimum(filled, budget) - np.minimum(filled - bounds, budget)
+        negative = routable_sites(cluster, capacities) & (coefficient < 0)
+        if self.physical:
+            return route_greedily(cluster, front, coefficient, negative)
+        route = np.where(negative, cluster.max_route_matrix(), 0.0)
         route.flags.writeable = False
         return route
 

@@ -17,14 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro._validation import ValueEquality
 from repro.analysis.tables import format_table
 from repro.runner import RunSpec, ScenarioSpec, default_cache, run_many
 
 __all__ = ["Fig1Result", "run", "main"]
 
 
-@dataclass(frozen=True)
-class Fig1Result:
+@dataclass(frozen=True, eq=False)
+class Fig1Result(ValueEquality):
     """The two panels of Fig. 1 plus summary statistics."""
 
     prices: np.ndarray  # (72, N)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro._validation import ValueEquality
 from repro.analysis.tables import format_table
 from repro.runner import RunSpec, ScenarioSpec, default_cache, run_many
 from repro.simulation.trace import Scenario
@@ -24,8 +25,8 @@ from repro.simulation.trace import Scenario
 __all__ = ["Fig5Result", "run", "main"]
 
 
-@dataclass(frozen=True)
-class Fig5Result:
+@dataclass(frozen=True, eq=False)
+class Fig5Result(ValueEquality):
     """The snapshot series and their price correlations."""
 
     prices_dc1: np.ndarray  # (window,)

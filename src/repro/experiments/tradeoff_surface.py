@@ -18,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro._validation import ValueEquality
 from repro.analysis.tables import format_table
 from repro.runner import RunSpec, ScenarioSpec, default_cache, run_many
 from repro.simulation.trace import Scenario
@@ -28,8 +29,8 @@ DEFAULT_V_GRID = (0.5, 7.5, 30.0)
 DEFAULT_BETA_GRID = (0.0, 100.0, 300.0)
 
 
-@dataclass(frozen=True)
-class SurfaceResult:
+@dataclass(frozen=True, eq=False)
+class SurfaceResult(ValueEquality):
     """The tradeoff surface: grids plus per-point metric matrices."""
 
     v_grid: tuple

@@ -21,7 +21,7 @@ from repro.model.action import Action
 from repro.model.cluster import Cluster
 from repro.model.queues import QueueNetwork
 from repro.model.state import ClusterState
-from repro.schedulers.base import Scheduler, route_greedily, serve_eagerly
+from repro.schedulers.base import Scheduler, routable_sites, route_greedily, serve_eagerly
 
 __all__ = ["AlwaysScheduler"]
 
@@ -35,9 +35,7 @@ class AlwaysScheduler(Scheduler):
 
     def decide(self, t: int, state: ClusterState, queues: QueueNetwork) -> Action:
         state = self.prepare_state(state)
-        front = queues.front
         dc = queues.dc
-        route = route_greedily(
-            self.cluster, front, dc, capacities=state.capacities(self.cluster)
-        )
+        open_sites = routable_sites(self.cluster, state.capacities(self.cluster))
+        route = route_greedily(self.cluster, queues.front, dc, open_sites)
         return serve_eagerly(t, self.cluster, state, dc, route)

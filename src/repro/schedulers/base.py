@@ -22,7 +22,7 @@ from repro.model.state import ClusterState
 from repro.optimize.slot_problem import SlotServiceProblem
 from repro.resilient.supervisor import solve_service
 
-__all__ = ["Scheduler", "route_greedily", "serve_eagerly", "service_upper_bounds"]
+__all__ = ["Scheduler", "routable_sites", "route_greedily", "serve_eagerly", "service_upper_bounds"]
 
 
 def service_upper_bounds(
@@ -127,46 +127,36 @@ class Scheduler(ABC):
         return ClusterState(filled_a, filled_p)
 
 
-def route_greedily(
-    cluster: Cluster,
-    front: np.ndarray,
-    dc: np.ndarray,
-    prefer: np.ndarray | None = None,
-    capacities: np.ndarray | None = None,
-) -> np.ndarray:
-    """Route every queued job to eligible sites, fewest-backlog first.
+def routable_sites(cluster: Cluster, capacities: np.ndarray) -> np.ndarray:
+    """``(N, J)``: the eligible (site, type) pairs at sites with observed capacity.
 
-    A shared helper for baselines that move jobs out of the central
-    queue as fast as the eq. (4) bounds allow.  Jobs of type ``j`` are
-    assigned (integrally) to sites ``i in D_j`` in increasing order of
-    *prefer* (default: current site backlog ``q_ij``), each site taking
-    at most ``r_ij^max``.
-
-    When *capacities* (the observed per-site work capacities) is given,
-    sites with zero capacity are skipped entirely — the degraded-mode
-    rule that keeps work out of dark or partitioned data centers where
-    it could only sit (or be evicted) until the fault clears.
-
-    Returns the ``(N, J)`` routing matrix.
+    The degraded-mode rule: no work is routed to a dark or partitioned
+    site, where it could only sit (or be evicted) until the fault clears.
     """
-    n, j_count = dc.shape
-    route = np.zeros((n, j_count))
-    max_route = cluster.max_route_matrix()
-    keys = dc if prefer is None else prefer
-    for j in range(j_count):
-        budget = float(whole_jobs(front[j]))
-        if budget <= 0:
-            continue
-        eligible = sorted(cluster.job_types[j].eligible_dcs, key=lambda i: keys[i, j])
-        if capacities is not None:
-            eligible = [i for i in eligible if capacities[i] > 0.0]
-        for i in eligible:
-            take = min(max_route[i, j], budget)
-            take = float(whole_jobs(take))
-            if take <= 0:
-                continue
-            route[i, j] = take
-            budget -= take
-            if budget <= 0:
-                break
+    return cluster.eligibility_matrix() & (capacities > 0.0)[:, np.newaxis]
+
+
+def route_greedily(
+    cluster: Cluster, front: np.ndarray, keys: np.ndarray, open_sites: np.ndarray
+) -> np.ndarray:
+    """Route whole jobs out of the central queue, lowest key first.
+
+    Jobs of type ``j`` go to the sites *open_sites* ``(N, J)`` marks (it
+    must exclude ineligible pairs) in increasing order of ``keys[i, j]``,
+    ties by site index, each site taking at most ``r_ij^max``, until
+    ``whole_jobs(Q_j)`` are placed.  The bounds and budget are whole
+    numbers, so the cumulative sum is exact.
+
+    GreFar passes its backpressure coefficient and the sites where it is
+    negative; the eager baselines pass the site backlogs ``q_ij`` and
+    :func:`routable_sites`.  Returns the read-only ``(N, J)`` routing.
+    """
+    order = np.where(open_sites, keys, np.inf).argsort(axis=0, kind="stable")
+    columns = np.arange(keys.shape[1])
+    bounds = np.where(open_sites, cluster.max_route_matrix(), 0.0)[order, columns]
+    filled = bounds.cumsum(axis=0)
+    budget = whole_jobs(front)
+    route = np.empty(keys.shape)
+    route[order, columns] = np.minimum(filled, budget) - np.minimum(filled - bounds, budget)
+    route.flags.writeable = False
     return route

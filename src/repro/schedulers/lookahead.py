@@ -30,16 +30,58 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog, minimize
 
-from repro._validation import require_integer, require_non_negative
+from repro._validation import ValueEquality, require_integer, require_non_negative
 from repro.fairness.base import FairnessFunction
 from repro.fairness.quadratic import QuadraticFairness
+from repro.model.action import account_work
 from repro.model.cluster import Cluster
 
-__all__ = ["LookaheadPolicy", "LookaheadSolution"]
+__all__ = ["LookaheadPolicy", "LookaheadSolution", "frame_program"]
 
 
-@dataclass(frozen=True)
-class LookaheadSolution:
+def frame_program(
+    cluster: Cluster,
+    prices: np.ndarray,
+    availability: np.ndarray,
+    demand: np.ndarray,
+    h_bound: np.ndarray,
+) -> tuple:
+    """The frame LP ``min c.x  s.t.  A_ub x <= b_ub``, boxed by *bounds*.
+
+    The frame has ``T = len(prices)`` slots; *prices* is ``(T, N)`` and
+    *availability* ``(T, N, K)``.  The variables ``x = (h, b)`` are the
+    service ``(T, N, J)`` then the busy servers ``(T, N, K)``, each
+    flattened in C order.  ``c`` prices the busy servers at
+    ``phi_i(t) p_k``.  The rows are per-slot capacity (18),
+    ``sum_j d_j h_ijt - sum_k s_k b_ikt <= 0``, then coverage
+    ``sum_{t, i in D_j} h_ijt >= demand_j``.  ``h`` is boxed by
+    *h_bound* ``(N, J)`` and ``b`` by the availability.
+
+    Returns ``(c, A_ub, b_ub, bounds)``, ready for ``scipy.optimize.linprog``.
+    """
+    t_len, n = prices.shape
+    j_count, k_count = cluster.num_job_types, cluster.num_server_classes
+    slots = t_len * n
+    num_h = slots * j_count
+    energy = (prices[:, :, np.newaxis] * cluster.active_powers).ravel()
+    c = np.concatenate([np.zeros(num_h), energy])
+    # Capacity: row t*N + i holds d in its h block and -s in its b block.
+    rows = np.arange(slots)[:, np.newaxis]
+    capacity = np.zeros((slots, num_h + slots * k_count))
+    capacity[rows, rows * j_count + np.arange(j_count)] = cluster.demands
+    capacity[rows, num_h + rows * k_count + np.arange(k_count)] = -cluster.speeds
+    # Coverage: row j holds -1 at every (t, i in D_j, j); one slot's block, tiled.
+    per_slot = np.eye(j_count, dtype=bool)[:, np.newaxis, :] & cluster.eligibility_matrix()
+    coverage = np.zeros((j_count, capacity.shape[1]))
+    coverage[:, :num_h] = np.tile(np.where(per_slot, -1.0, 0.0).reshape(j_count, -1), t_len)
+    a_ub = np.vstack([capacity, coverage])
+    b_ub = np.concatenate([np.zeros(slots), -demand])
+    upper = np.concatenate([np.tile(h_bound.ravel(), t_len), availability.ravel()])
+    return c, a_ub, b_ub, [(0.0, ub) for ub in upper.tolist()]
+
+
+@dataclass(frozen=True, eq=False)
+class LookaheadSolution(ValueEquality):
     """Result of solving every frame of the lookahead policy.
 
     Attributes
@@ -138,107 +180,38 @@ class LookaheadPolicy:
 
     # ------------------------------------------------------------------
     def _solve_frame(self, start: int, stop: int) -> tuple:
-        if math.isclose(self.beta, 0.0, abs_tol=1e-12):
-            return self._solve_frame_lp(start, stop)
-        return self._solve_frame_convex(start, stop)
-
-    def _frame_layout(self, start: int, stop: int) -> dict:
-        cluster = self.cluster
-        t_len = stop - start
-        n, j_count = cluster.num_datacenters, cluster.num_job_types
-        k_count = cluster.num_server_classes
-        num_h = t_len * n * j_count
-        num_b = t_len * n * k_count
-        return {
-            "t_len": t_len,
-            "n": n,
-            "j": j_count,
-            "k": k_count,
-            "num_h": num_h,
-            "num_b": num_b,
-        }
-
-    def _frame_bounds(self, start: int, stop: int) -> list:
-        lay = self._frame_layout(start, stop)
-        bounds: list = []
-        for _ in range(lay["t_len"]):
-            bounds.extend((0.0, float(ub)) for ub in self._h_bound.ravel())
-        for t in range(start, stop):
-            bounds.extend((0.0, float(a)) for a in self.availability[t].ravel())
-        return bounds
-
-    def _frame_constraints_matrices(self, start: int, stop: int) -> tuple:
-        """Rows for capacity (per slot+site) and coverage (per type)."""
-        cluster = self.cluster
-        lay = self._frame_layout(start, stop)
-        t_len, n, j_count, k_count = lay["t_len"], lay["n"], lay["j"], lay["k"]
-        num_h, num_b = lay["num_h"], lay["num_b"]
-        demands = cluster.demands
-        speeds = cluster.speeds
-        elig = cluster.eligibility_matrix()
-
-        # Capacity: sum_j d_j h_ijt - sum_k s_k b_ikt <= 0.
-        a_cap = np.zeros((t_len * n, num_h + num_b))
-        for t in range(t_len):
-            for i in range(n):
-                row = t * n + i
-                h_off = (t * n + i) * j_count
-                b_off = num_h + (t * n + i) * k_count
-                a_cap[row, h_off : h_off + j_count] = demands
-                a_cap[row, b_off : b_off + k_count] = -speeds
-        b_cap = np.zeros(t_len * n)
-
-        # Coverage: -sum_{t, i in D_j} h_ijt <= -sum_t a_jt.
-        a_cov = np.zeros((j_count, num_h + num_b))
-        for j in range(j_count):
-            for t in range(t_len):
-                for i in range(n):
-                    if elig[i, j]:
-                        a_cov[j, (t * n + i) * j_count + j] = -1.0
-        b_cov = -self.arrivals[start:stop].sum(axis=0)
-        return a_cap, b_cap, a_cov, b_cov
-
-    def _energy_coefficients(self, start: int, stop: int) -> np.ndarray:
-        """Linear cost of the busy variables: ``phi_i(t) * p_k``."""
-        cluster = self.cluster
-        lay = self._frame_layout(start, stop)
-        coeff = np.zeros(lay["num_b"])
-        powers = cluster.active_powers
-        pos = 0
-        for t in range(start, stop):
-            for i in range(cluster.num_datacenters):
-                coeff[pos : pos + lay["k"]] = self.prices[t, i] * powers
-                pos += lay["k"]
-        return coeff
-
-    def _solve_frame_lp(self, start: int, stop: int) -> tuple:
-        lay = self._frame_layout(start, stop)
-        num_h, num_b = lay["num_h"], lay["num_b"]
-        c = np.concatenate([np.zeros(num_h), self._energy_coefficients(start, stop)])
-        a_cap, b_cap, a_cov, b_cov = self._frame_constraints_matrices(start, stop)
-        result = linprog(
-            c,
-            A_ub=np.vstack([a_cap, a_cov]),
-            b_ub=np.concatenate([b_cap, b_cov]),
-            bounds=self._frame_bounds(start, stop),
-            method="highs",
+        """``(h, b, G*_r)`` of frame ``[start, stop)``: the LP, refined by SLSQP if beta > 0."""
+        program = frame_program(
+            self.cluster,
+            self.prices[start:stop],
+            self.availability[start:stop],
+            self.arrivals[start:stop].sum(axis=0),
+            self._h_bound,
         )
+        c, a_ub, b_ub, bounds = program
+        result = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
         if not result.success:
             raise RuntimeError(
                 f"lookahead frame [{start}, {stop}) infeasible or failed: "
                 f"{result.message} (check the slackness conditions)"
             )
-        h = result.x[:num_h].reshape(lay["t_len"], lay["n"], lay["j"])
-        b = result.x[num_h:].reshape(lay["t_len"], lay["n"], lay["k"])
-        cost = float(result.fun) / lay["t_len"]
-        return h, b, cost
+        x, cost = result.x, float(result.fun)
+        if not math.isclose(self.beta, 0.0, abs_tol=1e-12):
+            x, cost = self._solve_frame_convex(program, x, start, stop)
+        t_len = stop - start
+        num_h = t_len * self._h_bound.size
+        h = x[:num_h].reshape(t_len, *self._h_bound.shape)
+        b = x[num_h:].reshape(t_len, *self.availability.shape[1:])
+        return h, b, cost / t_len
 
-    def _solve_frame_convex(self, start: int, stop: int) -> tuple:
+    def _solve_frame_convex(self, program: tuple, x0: np.ndarray, start: int, stop: int) -> tuple:
+        """Refine the frame's LP optimum *x0* under the fairness term (SLSQP)."""
+        c, a_ub, b_ub, bounds = program
         cluster = self.cluster
-        lay = self._frame_layout(start, stop)
-        t_len, n, j_count, k_count = lay["t_len"], lay["n"], lay["j"], lay["k"]
-        num_h, num_b = lay["num_h"], lay["num_b"]
-        energy_coeff = self._energy_coefficients(start, stop)
+        t_len = stop - start
+        num_h = t_len * self._h_bound.size
+        h_shape = (t_len, *self._h_bound.shape)
+        energy_coeff = c[num_h:]
         demands = cluster.demands
         shares = cluster.fair_shares
         account_of_type = cluster.account_of_type
@@ -247,31 +220,21 @@ class LookaheadPolicy:
             [float(np.dot(self.availability[t].sum(axis=0), speeds)) for t in range(start, stop)]
         )
 
-        # Warm start from the beta = 0 LP solution.
-        h0, b0, _ = self._solve_frame_lp(start, stop)
-        x0 = np.concatenate([h0.ravel(), b0.ravel()])
-
         def unfairness(x: np.ndarray) -> float:
-            h = x[:num_h].reshape(t_len, n, j_count)
+            h = x[:num_h].reshape(h_shape)
             total = 0.0
             for t in range(t_len):
-                per_type = h[t].sum(axis=0) * demands
-                acc = np.zeros(cluster.num_accounts)
-                np.add.at(acc, account_of_type, per_type)
-                total -= self.fairness.score(acc, totals[t], shares)
+                total -= self.fairness.score(account_work(cluster, h[t]), totals[t], shares)
             return total
 
         # Gradient of the unfairness term with respect to h.
         def unfairness_grad(x: np.ndarray) -> np.ndarray:
-            h = x[:num_h].reshape(t_len, n, j_count)
-            grad = np.zeros(num_h + num_b)
-            gh = np.zeros((t_len, n, j_count))
+            h = x[:num_h].reshape(h_shape)
+            grad = np.zeros_like(x)
+            gh = np.zeros(h_shape)
             for t in range(t_len):
-                per_type = h[t].sum(axis=0) * demands
-                acc = np.zeros(cluster.num_accounts)
-                np.add.at(acc, account_of_type, per_type)
-                fg = self.fairness.gradient(acc, totals[t], shares)
-                gh[t] = -(fg[account_of_type] * demands)[np.newaxis, :]
+                fg = self.fairness.gradient(account_work(cluster, h[t]), totals[t], shares)
+                gh[t] = -(fg[account_of_type] * demands)
             grad[:num_h] = gh.ravel()
             return grad
 
@@ -283,21 +246,18 @@ class LookaheadPolicy:
             grad[num_h:] += energy_coeff
             return grad
 
-        a_cap, b_cap, a_cov, b_cov = self._frame_constraints_matrices(start, stop)
-        a_all = np.vstack([a_cap, a_cov])
-        b_all = np.concatenate([b_cap, b_cov])
         constraints = [
             {
                 "type": "ineq",
-                "fun": lambda x: b_all - a_all @ x,
-                "jac": lambda x: -a_all,
+                "fun": lambda x: b_ub - a_ub @ x,
+                "jac": lambda x: -a_ub,
             }
         ]
         result = minimize(
             objective,
             x0,
             jac=gradient,
-            bounds=self._frame_bounds(start, stop),
+            bounds=bounds,
             constraints=constraints,
             method="SLSQP",
             options={"maxiter": 200, "ftol": 1e-9},
@@ -305,6 +265,4 @@ class LookaheadPolicy:
         x = result.x if result.success else x0
         if objective(x) > objective(x0):
             x = x0
-        h = x[:num_h].reshape(t_len, n, j_count)
-        b = x[num_h:].reshape(t_len, n, k_count)
-        return h, b, objective(x) / t_len
+        return x, objective(x)

@@ -35,7 +35,8 @@ from repro.model.cluster import Cluster
 from repro.model.queues import QueueNetwork
 from repro.model.state import ClusterState
 from repro.optimize.slot_problem import busy_counts, supply_matrix
-from repro.schedulers.base import Scheduler, route_greedily, service_upper_bounds
+from repro.schedulers.base import Scheduler, routable_sites, route_greedily, service_upper_bounds
+from repro.schedulers.lookahead import frame_program
 from repro.simulation.trace import Scenario
 
 __all__ = ["RecedingHorizonScheduler"]
@@ -123,15 +124,12 @@ class RecedingHorizonScheduler(Scheduler):
         planned = self._plan[self._plan_offset]
         self._plan_offset += 1
 
-        front = queues.front
         dc = queues.dc
-        route = route_greedily(
-            self.cluster, front, dc, capacities=state.capacities(self.cluster)
-        )
+        caps = state.capacities(self.cluster)
+        route = route_greedily(self.cluster, queues.front, dc, routable_sites(self.cluster, caps))
         h_upper = service_upper_bounds(self.cluster, state, dc)
         h = np.minimum(planned, h_upper)
         # Clip the plan to today's actual capacity.
-        caps = state.capacities(self.cluster)
         loads = h @ self.cluster.demands
         for i in range(self.cluster.num_datacenters):
             if loads[i] > caps[i] > 0:
@@ -182,72 +180,22 @@ class RecedingHorizonScheduler(Scheduler):
     # Planning LP
     # ------------------------------------------------------------------
     def _solve_plan(self, t: int, state: ClusterState, queues: QueueNetwork) -> np.ndarray:
-        cluster = self.cluster
+        """The ``(window, N, J)`` service plan: the lookahead's frame LP
+        (:func:`~repro.schedulers.lookahead.frame_program`) over the
+        forecast, clearing the backlog plus the predicted arrivals."""
         w = self.window
-        n, j_count = cluster.num_datacenters, cluster.num_job_types
-        k_count = cluster.num_server_classes
-        demands = cluster.demands
-        speeds = cluster.speeds
-        powers = cluster.active_powers
-        elig = cluster.eligibility_matrix()
+        h_bound = self.cluster.max_service_matrix()
         prices, avail, arrivals = self._forecast(t, state)
-
-        num_h = w * n * j_count
-        num_b = w * n * k_count
-
-        c = np.zeros(num_h + num_b)
-        pos = num_h
-        for step in range(w):
-            for i in range(n):
-                c[pos : pos + k_count] = prices[step, i] * powers
-                pos += k_count
-
-        # Capacity coupling per (step, site).
-        a_rows = []
-        b_vals = []
-        for step in range(w):
-            for i in range(n):
-                row = np.zeros(num_h + num_b)
-                h_off = (step * n + i) * j_count
-                b_off = num_h + (step * n + i) * k_count
-                row[h_off : h_off + j_count] = demands
-                row[b_off : b_off + k_count] = -speeds
-                a_rows.append(row)
-                b_vals.append(0.0)
-
-        # Clear the backlog plus predicted arrivals per type (weighted so
-        # earlier arrivals are also served inside the window).
         backlog = queues.front + queues.dc.sum(axis=0)
-        demand_per_type = backlog + arrivals.sum(axis=0)
-        for j in range(j_count):
-            row = np.zeros(num_h + num_b)
-            for step in range(w):
-                for i in range(n):
-                    if elig[i, j]:
-                        row[(step * n + i) * j_count + j] = -1.0
-            a_rows.append(row)
-            b_vals.append(-float(demand_per_type[j]))
-
-        bounds = []
-        h_bound = cluster.max_service_matrix()
-        for _ in range(w):
-            bounds.extend((0.0, float(ub)) for ub in h_bound.ravel())
-        for step in range(w):
-            bounds.extend((0.0, float(a)) for a in avail[step].ravel())
-
-        result = linprog(
-            c,
-            A_ub=np.array(a_rows),
-            b_ub=np.array(b_vals),
-            bounds=bounds,
-            method="highs",
+        c, a_ub, b_ub, bounds = frame_program(
+            self.cluster, prices, avail, backlog + arrivals.sum(axis=0), h_bound
         )
+        result = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
         if not result.success:
             # Forecast says infeasible (e.g. predicted blackout): fall
             # back to serving eagerly this window.
-            plan = np.tile(h_bound[np.newaxis], (w, 1, 1))
-            return plan
-        return result.x[:num_h].reshape(w, n, j_count)
+            return np.tile(h_bound[np.newaxis], (w, 1, 1))
+        return result.x[: w * h_bound.size].reshape(w, *h_bound.shape)
 
     # ------------------------------------------------------------------
     def _busy_for(self, h: np.ndarray, state: ClusterState) -> np.ndarray:

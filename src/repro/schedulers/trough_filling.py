@@ -23,7 +23,7 @@ from repro.model.action import Action
 from repro.model.cluster import Cluster
 from repro.model.queues import QueueNetwork
 from repro.model.state import ClusterState
-from repro.schedulers.base import Scheduler, route_greedily, serve_eagerly
+from repro.schedulers.base import Scheduler, routable_sites, route_greedily, serve_eagerly
 
 __all__ = ["TroughFillingScheduler"]
 
@@ -71,10 +71,9 @@ class TroughFillingScheduler(Scheduler):
     def decide(self, t: int, state: ClusterState, queues: QueueNetwork) -> Action:
         state = self.prepare_state(state)
         cluster = self.cluster
-        front = queues.front
         dc = queues.dc
         route = route_greedily(
-            cluster, front, dc, capacities=state.capacities(cluster)
+            cluster, queues.front, dc, routable_sites(cluster, state.capacities(cluster))
         )
 
         serve_site = np.zeros(cluster.num_datacenters, dtype=bool)

@@ -24,7 +24,7 @@ world in both directions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -33,7 +33,7 @@ import numpy as np
 from repro._validation import require_integer, require_positive
 from repro.core.objective import CostModel
 from repro.resilient.checkpoint import Checkpointer, ColumnHistory
-from repro.runner.spec import ScenarioSpec, spec_digest
+from repro.runner.spec import ScenarioSpec, _freeze_kwargs, spec_digest
 from repro.schedulers import build_scheduler
 from repro.simulation.simulator import Simulator
 from repro.simulation.trace import Scenario
@@ -43,13 +43,6 @@ __all__ = ["ServiceConfig", "ServiceState"]
 #: Default root for service data directories (write-ahead logs and
 #: checkpoints); sibling of the runner cache.
 DEFAULT_SERVICE_DIR = Path(".repro_cache") / "service"
-
-
-def _freeze_kwargs(kwargs: Any) -> Tuple[Tuple[str, Any], ...]:
-    if kwargs is None:
-        return ()
-    items = kwargs.items() if isinstance(kwargs, dict) else tuple(kwargs)
-    return tuple(sorted((str(k), v) for k, v in items))
 
 
 @dataclass(frozen=True)
@@ -94,7 +87,7 @@ class ServiceConfig:
         if self.slot_seconds is not None:
             require_positive(self.slot_seconds, "slot_seconds")
         object.__setattr__(
-            self, "scheduler_kwargs", _freeze_kwargs(self.scheduler_kwargs)
+            self, "scheduler_kwargs", _freeze_kwargs(self.scheduler_kwargs, "scheduler_kwargs")
         )
 
     # ------------------------------------------------------------------

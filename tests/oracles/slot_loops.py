@@ -19,6 +19,7 @@ __all__ = [
     "clip_feasible_loop",
     "greedy_walk_per_site",
     "marginal_cost_segments_walk",
+    "route_greedily_loop",
     "route_loop",
 ]
 
@@ -59,6 +60,36 @@ def route_loop(scheduler, front, dc, capacities) -> np.ndarray:
                 continue
             route[i, j] = take
             budget -= take
+    return route
+
+
+def route_greedily_loop(cluster, front, keys, capacities) -> np.ndarray:
+    """``route_greedily`` one job type and one site at a time.
+
+    Jobs of type ``j`` go to the sites ``i in D_j`` with positive
+    *capacities* in increasing order of ``keys[i, j]``, each taking at
+    most ``r_ij^max``, until ``whole_jobs(Q_j)`` are placed.  Ties keep
+    the iteration order of the ``D_j`` frozenset, which is ascending for
+    site indices below 8.
+    """
+    n, j_count = keys.shape
+    route = np.zeros((n, j_count))
+    max_route = cluster.max_route_matrix()
+    for j in range(j_count):
+        budget = float(whole_jobs(front[j]))
+        if budget <= 0:
+            continue
+        eligible = sorted(cluster.job_types[j].eligible_dcs, key=lambda i: keys[i, j])
+        eligible = [i for i in eligible if capacities[i] > 0.0]
+        for i in eligible:
+            take = min(max_route[i, j], budget)
+            take = float(whole_jobs(take))
+            if take <= 0:
+                continue
+            route[i, j] = take
+            budget -= take
+            if budget <= 0:
+                break
     return route
 
 

@@ -38,8 +38,10 @@ class TestRouteGreedilyPrefer:
         dc = np.array([[0.0, 0.0], [5.0, 0.0]])
         # Invert the preference: make site 1 look better despite backlog.
         prefer = np.array([[9.0, 0.0], [1.0, 0.0]])
-        route = route_greedily(cluster, front, dc, prefer=prefer)
+        # The keys, not the backlog, order the sites.
+        route = route_greedily(cluster, front, prefer, cluster.eligibility_matrix())
         assert route[1, 0] == pytest.approx(2.0)
+        assert route_greedily(cluster, front, dc, cluster.eligibility_matrix())[0, 0] == 2.0
 
 
 class TestServiceUpperBounds:

@@ -16,29 +16,34 @@ from repro.schedulers.base import route_greedily
 from repro.simulation.simulator import Simulator
 
 
+def route_all(cluster, front, dc):
+    """Route by backlog with every eligible site open."""
+    return route_greedily(cluster, front, dc, cluster.eligibility_matrix())
+
+
 class TestRouteGreedily:
     def test_routes_everything_when_bounds_allow(self, cluster):
         front = np.array([3.0, 2.0])
         dc = np.zeros((2, 2))
-        route = route_greedily(cluster, front, dc)
+        route = route_all(cluster, front, dc)
         np.testing.assert_allclose(route.sum(axis=0), front)
 
     def test_prefers_smaller_backlog(self, cluster):
         front = np.array([2.0, 0.0])
         dc = np.array([[5.0, 0.0], [0.0, 0.0]])
-        route = route_greedily(cluster, front, dc)
+        route = route_all(cluster, front, dc)
         assert route[1, 0] == pytest.approx(2.0)
         assert route[0, 0] == pytest.approx(0.0)
 
     def test_respects_eligibility(self, cluster):
         front = np.array([0.0, 4.0])
-        route = route_greedily(cluster, front, np.zeros((2, 2)))
+        route = route_all(cluster, front, np.zeros((2, 2)))
         assert route[0, 1] == 0.0  # type 1 only eligible at site 1
         assert route[1, 1] == pytest.approx(4.0)
 
     def test_respects_route_bound(self, cluster):
         front = np.array([0.0, 30.0])
-        route = route_greedily(cluster, front, np.zeros((2, 2)))
+        route = route_all(cluster, front, np.zeros((2, 2)))
         assert route[1, 1] <= 25.0  # max_route for type 1
 
 

@@ -340,6 +340,20 @@ def test_config_digest_tracks_scheduling_identity(tmp_path):
     assert base.wal_path.parent == base.instance_dir
 
 
+def test_config_freezes_kwargs_as_run_specs_do(tmp_path):
+    # String-keyed kwargs keep the digest they had under the service's own freeze...
+    config = make_config(tmp_path, scheduler_kwargs={"v": 10.0, "beta": 2.0})
+    assert config.scheduler_kwargs == (("beta", 2.0), ("v", 10.0))
+    assert config.digest == (
+        "1a34e7a3b59defa49d3d4a51d5fc679a9631f22e6acdfdc78a2d898b295ef4a1"
+    )
+    # ...and, as in RunSpec, a non-string key or an unhashable value is refused.
+    with pytest.raises(TypeError, match="keys must be strings"):
+        make_config(tmp_path, scheduler_kwargs={1: 10.0})
+    with pytest.raises(TypeError, match="hashable"):
+        make_config(tmp_path, scheduler_kwargs={"v": [10.0]})
+
+
 def test_config_rejects_bad_tuning(tmp_path):
     with pytest.raises(ValueError):
         make_config(tmp_path, intake_capacity=0)

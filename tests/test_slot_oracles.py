@@ -22,12 +22,14 @@ from repro.model.state import ClusterState
 from repro.optimize import SlotServiceProblem
 from repro.optimize.greedy import greedy_walk
 from repro.optimize.slot_problem import busy_counts, supply_matrix
+from repro.schedulers.base import routable_sites, route_greedily
 from tests.oracles.slot_loops import (
     account_work_add_at,
     busy_counts_columns,
     clip_feasible_loop,
     greedy_walk_per_site,
     marginal_cost_segments_walk,
+    route_greedily_loop,
     route_loop,
 )
 
@@ -153,6 +155,28 @@ def test_route_matches_loop(slot):
     caps = slot["state"].capacities(cluster)
     fast = scheduler._route(slot["front"], slot["dc"], caps)
     assert_bits_equal(fast, route_loop(scheduler, slot["front"], slot["dc"], caps))
+
+
+@settings(max_examples=300, deadline=None)
+@given(slots(), st.data())
+def test_route_greedily_matches_loop(slot, data):
+    # Tied, negative and non-ascending keys; fractional fronts and dark sites
+    # come with the slot.
+    cluster = slot["cluster"]
+    shape = slot["dc"].shape
+    keys = slot["dc"] if data.draw(st.booleans()) else np.array(
+        data.draw(
+            st.lists(
+                st.sampled_from([-2.0, -0.0, 0.0, 0.0, 1.0, 3.5]),
+                min_size=shape[0] * shape[1],
+                max_size=shape[0] * shape[1],
+            )
+        )
+    ).reshape(shape)
+    caps = slot["state"].capacities(cluster)
+    fast = route_greedily(cluster, slot["front"], keys, routable_sites(cluster, caps))
+    assert not fast.flags.writeable
+    assert_bits_equal(fast, route_greedily_loop(cluster, slot["front"], keys, caps))
 
 
 @settings(max_examples=200, deadline=None)

@@ -171,3 +171,42 @@ class TestArrayHelpers:
         out = as_int_array([True, False], "x")
         assert out.dtype == np.int64
         np.testing.assert_array_equal(out, [1, 0])
+
+
+def _result_fields():
+    from repro.experiments.fig1_trace import Fig1Result
+    from repro.experiments.fig5_snapshot import Fig5Result
+    from repro.experiments.tradeoff_surface import SurfaceResult
+    from repro.schedulers.lookahead import LookaheadSolution
+
+    grid = np.arange(6.0).reshape(2, 3)
+    return {
+        LookaheadSolution: dict(
+            frame_costs=np.array([1.0, 2.0]), mean_cost=1.5,
+            service=np.ones((2, 2, 2)), busy=np.zeros((2, 2, 1)),
+        ),
+        Fig1Result: dict(
+            prices=grid, org_work=grid.T, price_means=(1.0, 2.0), price_cv=(0.1, 0.2),
+            org_peak_to_mean=(3.0,), org_silent_fraction=(0.0,),
+        ),
+        Fig5Result: dict(
+            prices_dc1=np.arange(3.0), grefar_work_dc1=np.ones(3),
+            always_work_dc1=np.zeros(3), grefar_price_correlation=-0.5,
+            always_price_correlation=0.1,
+        ),
+        SurfaceResult: dict(
+            v_grid=(1.0, 2.0), beta_grid=(0.0, 1.0, 2.0),
+            energy=grid, fairness=-grid, delay=grid + 1.0,
+        ),
+    }
+
+
+@pytest.mark.parametrize("kind", ["LookaheadSolution", "Fig1Result", "Fig5Result", "SurfaceResult"])
+def test_result_types_compare_and_hash_by_value(kind):
+    cls, fields = next((c, f) for c, f in _result_fields().items() if c.__name__ == kind)
+    first = cls(**fields)
+    copied = cls(**{k: v.copy() if isinstance(v, np.ndarray) else v for k, v in fields.items()})
+    assert first == copied
+    assert hash(first) == hash(copied)
+    name, value = next((k, v) for k, v in fields.items() if isinstance(v, np.ndarray))
+    assert first != cls(**{**fields, name: value + 1.0})
