@@ -67,7 +67,6 @@ from repro.model import (
     ClusterState,
     DataCenter,
     DelayStats,
-    JobBatch,
     JobType,
     LinearPricing,
     PricingModel,
@@ -179,7 +178,6 @@ __all__ = [
     "FlakyBackend",
     "GreFarScheduler",
     "JainFairness",
-    "JobBatch",
     "JobType",
     "LinearPricing",
     "LookaheadPolicy",

@@ -10,7 +10,7 @@ the queueing substrate with the exact dynamics of eqs. (12)-(13)
 from repro.model.action import Action
 from repro.model.cluster import Cluster
 from repro.model.datacenter import DataCenter
-from repro.model.job import Account, JobBatch, JobType
+from repro.model.job import Account, JobType
 from repro.model.pricing import LinearPricing, PricingModel, TieredPricing
 from repro.model.queues import DelayStats, QueueNetwork
 from repro.model.server import ServerClass
@@ -23,7 +23,6 @@ __all__ = [
     "ClusterState",
     "DataCenter",
     "DelayStats",
-    "JobBatch",
     "JobType",
     "LinearPricing",
     "PricingModel",

@@ -23,7 +23,7 @@ from repro._validation import (
     require_positive,
 )
 
-__all__ = ["Account", "JobType", "JobBatch"]
+__all__ = ["Account", "JobType"]
 
 
 @dataclass(frozen=True)
@@ -142,22 +142,3 @@ class JobType:
         """Total work represented by *count* jobs of this type."""
         require_non_negative(count, "count")
         return count * self.demand
-
-
-@dataclass(frozen=True)
-class JobBatch:
-    """A batch of identical jobs of one type arriving in the same slot.
-
-    Used by the FIFO queue ledgers to track per-job queueing delay: the
-    whole batch shares one arrival slot, and fractions of it complete as
-    service is applied.
-    """
-
-    job_type: int
-    count: float
-    arrival_slot: int
-
-    def __post_init__(self) -> None:
-        require_integer(self.job_type, "job_type", minimum=0)
-        require_non_negative(self.count, "count")
-        require_integer(self.arrival_slot, "arrival_slot", minimum=0)

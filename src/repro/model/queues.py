@@ -11,8 +11,8 @@ Two layers are maintained in lock-step:
 
      q_{ij}(t+1) = \\max[q_{ij}(t) - h_{ij}(t),\\, 0] + r_{ij}(t)
 
-* **FIFO ledgers** of :class:`~repro.model.job.JobBatch` entries so the
-  simulator can attribute a queueing delay to every (fractional) job:
+* **FIFO ledgers** of ``[arrival_slot, count]`` pairs so the simulator
+  can attribute a queueing delay to every (fractional) job:
   jobs drain oldest-first, which is both the natural service order and
   the one that minimizes measured average delay.
 

@@ -1,4 +1,7 @@
-"""Blended pairwise Frank-Wolfe solver for the fairness-aware (beta > 0) slot problem.
+"""Blended pairwise Frank-Wolfe for the fairness-aware (beta > 0) problems.
+
+The loop, :func:`conditional_gradient`, solves GreFar's slot problem
+(14) as below and the lookahead's frames (15)-(18) over the frame LP.
 
 The slot objective (14) splits as ``Psi(h) + F(r(h))``.
 ``Psi(h) = V e(h) - q . h`` is convex and piecewise linear, and the
@@ -41,7 +44,7 @@ from repro.optimize.greedy import greedy_walk, solve_greedy
 from repro.optimize.lp import solve_lp
 from repro.optimize.slot_problem import SlotServiceProblem
 
-__all__ = ["frank_wolfe", "solve_qp"]
+__all__ = ["conditional_gradient", "frank_wolfe", "solve_qp"]
 
 #: Weights below this are dropped from the active vertex set.
 _DROP = 1e-15
@@ -96,9 +99,8 @@ def frank_wolfe(
     Returns ``(h, gap, iterations)``: ``gap`` bounds
     ``problem.objective(h)`` minus the optimum (for a smooth concave
     ``f``; with max-min fairness it is only an estimate), and
-    ``iterations`` counts steps after the warm start.  Runs that stop at
-    *max_iterations* are counted as ``solve.qp.capped`` on the stats
-    registry.
+    ``iterations`` counts steps after the warm start (see
+    :func:`conditional_gradient`).
     """
     cluster = problem.cluster
     demands = cluster.demands
@@ -117,17 +119,40 @@ def frank_wolfe(
         h, energy = oracle(weights)
         return h, energy - float(np.sum(queue * h)), h.sum(axis=0) @ to_account
 
-    # The unchecked kernels: every r below lies in the hull of the
-    # vertices' non-negative account totals (up to rounding), and
-    # total > 0 once past the outage check.
-    def grad(r: np.ndarray) -> np.ndarray:
-        return -pull * fairness._gradient(r, total, shares)
-
-    h0, psi0, r0 = vertex(queue)
+    first = vertex(queue)
     if total <= 0:
         # Every site is out: the feasible set is {0} and f is undefined.
-        return h0, 0.0, 0
-    hs = [h0]
+        return first[0], 0.0, 0
+
+    # The unchecked kernels: every r the loop visits lies in the hull of
+    # the vertices' non-negative account totals (up to rounding), and
+    # total > 0 once past the outage check.
+    lam, hs, gap, iterations = conditional_gradient(
+        lambda g: vertex(queue - g[account_of_type] * demands),
+        first,
+        lambda r: -pull * fairness._gradient(r, total, shares),
+        lambda r: -pull * fairness._score(r, total, shares),
+        max_iterations,
+        tolerance,
+    )
+    h = np.minimum(np.tensordot(lam, np.stack(hs), axes=1), problem.h_upper)
+    return h, gap, iterations
+
+
+def conditional_gradient(
+    vertex, first: tuple, grad, value, max_iterations: int, tolerance: float
+) -> tuple:
+    """Blended pairwise Frank-Wolfe for ``min Psi(x) + F(r(x))`` over a polytope.
+
+    *vertex* is the oracle ``g -> (x, Psi(x), r(x))`` minimizing
+    ``Psi(x) + g . r(x)`` (``Psi`` convex, ``r`` linear), *first* the
+    start in that form, and *grad*/*value* give ``F`` at ``r``.  Returns
+    ``(weights, vertices, gap, iterations)``: ``gap`` bounds the
+    objective at ``sum weights_v x_v`` minus the optimum.  Runs that stop
+    at *max_iterations* are counted as ``solve.qp.capped``.
+    """
+    x0, psi0, r0 = first
+    xs = [x0]
     psi = np.array([psi0])
     rs = r0[np.newaxis, :]
     lam = np.array([1.0])
@@ -150,18 +175,18 @@ def frank_wolfe(
             direction = _newton_direction(lam, lin, rs, r, g, grad)
         corrective = direction is not None
         if not corrective:
-            h_s, psi_s, r_s = vertex(queue - g[account_of_type] * demands)
+            x_s, psi_s, r_s = vertex(g)
             gap = float(lam @ lin) - (psi_s + float(r_s @ g))
-            objective = float(lam @ psi) - pull * fairness._score(r, total, shares)
+            objective = float(lam @ psi) + value(r)
             if gap <= tolerance * max(1.0, abs(objective)):
                 break
             target = next(
-                (k for k, h_v in enumerate(hs) if np.array_equal(h_v, h_s)), len(hs)
+                (k for k, x_v in enumerate(xs) if np.array_equal(x_v, x_s)), len(xs)
             )
             if target == worst:
                 break
-            if target == len(hs):
-                hs.append(h_s)
+            if target == len(xs):
+                xs.append(x_s)
                 psi = np.append(psi, psi_s)
                 rs = np.vstack([rs, r_s])
                 lam = np.append(lam, 0.0)
@@ -183,11 +208,10 @@ def frank_wolfe(
             lam[np.flatnonzero(shrinking)[int(np.argmin(ratios))]] = 0.0
         keep = lam > _DROP
         if not keep.all():
-            hs = [h_v for h_v, kept in zip(hs, keep) if kept]
+            xs = [x_v for x_v, kept in zip(xs, keep) if kept]
             psi, rs, lam = psi[keep], rs[keep], lam[keep]
         lam /= lam.sum()
-    h = np.minimum(np.tensordot(lam, np.stack(hs), axes=1), problem.h_upper)
-    return h, max(gap, 0.0), iterations
+    return lam, xs, max(gap, 0.0), iterations
 
 
 def _newton_direction(lam, lin, rs, r, g, grad):

@@ -10,13 +10,16 @@ executes the plan's first slots, clipped to reality.
 Forecast modes
 --------------
 * ``"persistence"`` — tomorrow looks like right now: the current
-  price/availability persist, arrivals repeat their trailing average.
-* ``"diurnal"`` — tomorrow looks like yesterday: each quantity repeats
-  its value from ``period`` slots ago (falling back to persistence
-  until enough history accumulates).
+  price/availability persist.
+* ``"diurnal"`` — tomorrow looks like yesterday: price and availability
+  repeat their values from ``period`` slots ago (falling back to
+  persistence until enough history accumulates).
 * *oracle* — pass a :class:`~repro.simulation.trace.Scenario` to plan
   on the true future: an executable stand-in for the T-step lookahead
   comparator of Theorem 1.
+
+Only the oracle forecasts arrivals.  The persistence and diurnal
+forecasts predict none, so their plans clear the current backlog.
 
 Unlike GreFar, quality here depends entirely on forecast quality; the
 comparison benchmark quantifies that gap.
@@ -89,8 +92,6 @@ class RecedingHorizonScheduler(Scheduler):
         history_len = max(2 * period, window) + 1
         self._price_history: deque = deque(maxlen=history_len)
         self._avail_history: deque = deque(maxlen=history_len)
-        self._arrival_rate = np.zeros(cluster.num_job_types)
-        self._seen_slots = 0
 
     # ------------------------------------------------------------------
     def reset(self) -> None:
@@ -99,17 +100,6 @@ class RecedingHorizonScheduler(Scheduler):
         self._plan_offset = 0
         self._price_history.clear()
         self._avail_history.clear()
-        self._arrival_rate = np.zeros(self.cluster.num_job_types)
-        self._seen_slots = 0
-
-    def observe_arrivals(self, arrivals: np.ndarray) -> None:
-        """Feed realized arrivals (exponential moving average forecast)."""
-        arrivals = np.asarray(arrivals, dtype=np.float64)
-        if self._seen_slots == 0:
-            self._arrival_rate = arrivals.copy()
-        else:
-            self._arrival_rate = 0.9 * self._arrival_rate + 0.1 * arrivals
-        self._seen_slots += 1
 
     # ------------------------------------------------------------------
     def decide(self, t: int, state: ClusterState, queues: QueueNetwork) -> Action:
@@ -160,7 +150,7 @@ class RecedingHorizonScheduler(Scheduler):
                 arrivals = np.vstack([arrivals, np.zeros((pad, j))])
             return prices, avail, arrivals
 
-        arrivals = np.tile(self._arrival_rate, (w, 1))
+        arrivals = np.zeros((w, j))
         if self.forecast == "diurnal" and len(self._price_history) > self.period:
             prices = np.empty((w, n))
             avail = np.empty((w, n, k))

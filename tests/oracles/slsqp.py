@@ -1,24 +1,30 @@
-"""Reference SLSQP solver for the fairness-aware (beta > 0) slot problem.
+"""Reference SLSQP solvers for the fairness-aware (beta > 0) problems.
 
-With the paper's quadratic fairness (eq. 3) the slot problem is a
+:func:`solve_slsqp` solves GreFar's slot problem (14) and
+:func:`solve_frame_slsqp` one frame of the T-step lookahead comparator
+(15)-(18).  With the paper's quadratic fairness (eq. 3) the slot problem is a
 convex QP in ``(h, b)``: the energy term is linear in ``b``, the queue
 reward linear in ``h``, and ``-beta f`` a convex quadratic in the
 per-account work (itself linear in ``h``).  This oracle hands the whole
 problem to scipy's SLSQP with analytic gradients, warm-started from the
-beta = 0 greedy optimum.  It is slow and gives no optimality
-certificate; tests use it as an independently derived cross-check on
-:func:`repro.optimize.qp.solve_qp`.
+beta = 0 optimum (the greedy walk for a slot, the frame LP for a frame).
+They are slow and give no optimality certificate; tests use them as
+independently derived cross-checks on the Frank-Wolfe solves of
+:func:`repro.optimize.qp.solve_qp` and
+:class:`repro.schedulers.lookahead.LookaheadPolicy`.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import linprog, minimize
 
+from repro.model.action import account_work
 from repro.optimize.greedy import solve_greedy
 from repro.optimize.slot_problem import SlotServiceProblem
+from repro.schedulers.lookahead import LookaheadPolicy, frame_program
 
-__all__ = ["solve_slsqp"]
+__all__ = ["solve_frame_slsqp", "solve_slsqp"]
 
 
 def solve_slsqp(
@@ -127,3 +133,59 @@ def solve_slsqp(
     if problem.objective(h_opt) > problem.objective(h0) + 1e-9:
         return h0
     return h_opt
+
+
+def solve_frame_slsqp(policy: LookaheadPolicy, start: int, stop: int) -> tuple:
+    """SLSQP on the frame ``[start, stop)`` of *policy*, from its beta = 0 LP optimum.
+
+    Returns ``(start_cost, cost)``, the frame-average objective (19) of
+    the LP optimum and of SLSQP's result (never worse than the start).
+    """
+    cluster = policy.cluster
+    h_bound = np.minimum(cluster.max_service_matrix(), cluster.max_route_matrix())
+    c, a_ub, b_ub, bounds = frame_program(
+        cluster,
+        policy.prices[start:stop],
+        policy.availability[start:stop],
+        policy.arrivals[start:stop].sum(axis=0),
+        h_bound,
+    )
+    x0 = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs").x
+    t_len = stop - start
+    num_h = t_len * h_bound.size
+    h_shape = (t_len, *h_bound.shape)
+    energy_coeff = c[num_h:]
+    demands = cluster.demands
+    shares = cluster.fair_shares
+    account_of_type = cluster.account_of_type
+    totals = policy.availability[start:stop].sum(axis=1) @ cluster.speeds
+
+    def objective(x: np.ndarray) -> float:
+        h = x[:num_h].reshape(h_shape)
+        unfairness = -sum(
+            policy.fairness.score(account_work(cluster, h[t]), totals[t], shares)
+            for t in range(t_len)
+        )
+        return float(np.dot(energy_coeff, x[num_h:])) + policy.beta * unfairness
+
+    def gradient(x: np.ndarray) -> np.ndarray:
+        h = x[:num_h].reshape(h_shape)
+        gh = np.zeros(h_shape)
+        for t in range(t_len):
+            fg = policy.fairness.gradient(account_work(cluster, h[t]), totals[t], shares)
+            gh[t] = -(fg[account_of_type] * demands)
+        return np.concatenate([policy.beta * gh.ravel(), energy_coeff])
+
+    constraints = [{"type": "ineq", "fun": lambda x: b_ub - a_ub @ x, "jac": lambda x: -a_ub}]
+    result = minimize(
+        objective,
+        x0,
+        jac=gradient,
+        bounds=bounds,
+        constraints=constraints,
+        method="SLSQP",
+        options={"maxiter": 200, "ftol": 1e-9},
+    )
+    start_cost = objective(x0)
+    cost = min(objective(result.x), start_cost) if result.success else start_cost
+    return start_cost / t_len, cost / t_len

@@ -1,8 +1,8 @@
-"""Unit tests for accounts, job types and job batches."""
+"""Unit tests for accounts and job types."""
 
 import pytest
 
-from repro.model.job import Account, JobBatch, JobType
+from repro.model.job import Account, JobType
 
 
 class TestAccount:
@@ -69,21 +69,3 @@ class TestJobType:
     def test_eligible_dcs_deduplicated(self):
         jt = JobType(name="t", demand=1.0, eligible_dcs=[0, 0, 1], account=0)
         assert jt.eligible_dcs == frozenset({0, 1})
-
-
-class TestJobBatch:
-    def test_valid(self):
-        b = JobBatch(job_type=1, count=2.5, arrival_slot=3)
-        assert b.count == 2.5
-
-    def test_rejects_negative_count(self):
-        with pytest.raises(ValueError):
-            JobBatch(job_type=0, count=-1.0, arrival_slot=0)
-
-    def test_rejects_negative_slot(self):
-        with pytest.raises(ValueError):
-            JobBatch(job_type=0, count=1.0, arrival_slot=-1)
-
-    def test_rejects_negative_type(self):
-        with pytest.raises(ValueError):
-            JobBatch(job_type=-1, count=1.0, arrival_slot=0)

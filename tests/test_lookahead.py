@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.obs.registry import stats_registry
 from repro.schedulers.lookahead import LookaheadPolicy
 from repro.scenarios import small_scenario
+from tests.oracles.slsqp import solve_frame_slsqp
 
 
 @pytest.fixture(scope="module")
@@ -128,3 +130,35 @@ class TestConvexFrames:
             )
 
         assert energy(fair) >= energy(base) - 1e-6
+
+    def test_frames_match_slsqp_within_certified_gap(self, scn):
+        """Frank-Wolfe is never worse than the SLSQP reference or its own
+        beta = 0 LP start, and closes its gap without hitting the cap."""
+        lookahead = 12
+        policy = _policy(scn, lookahead=lookahead, beta=50.0)
+        capped = stats_registry().counter("solve.qp.capped")
+        sol = policy.solve()
+        assert stats_registry().counter("solve.qp.capped") == capped
+        for r, (cost, gap) in enumerate(zip(sol.frame_costs, sol.frame_gaps)):
+            start_cost, slsqp_cost = solve_frame_slsqp(
+                policy, r * lookahead, (r + 1) * lookahead
+            )
+            assert cost <= slsqp_cost + 1e-9 * max(1.0, abs(cost))
+            assert cost <= start_cost
+            assert 0.0 <= gap <= 1e-9 * max(1.0, abs(cost))
+
+    def test_beta_zero_frames_have_no_gap(self, scn):
+        sol = _policy(scn, lookahead=12).solve()
+        np.testing.assert_array_equal(sol.frame_gaps, 0.0)
+
+    def test_slot_without_capacity_serves_nothing(self, scn):
+        """A full outage inside a beta > 0 frame: f is undefined there, so
+        the slot takes no part in the fairness term and serves nothing."""
+        availability = scn.availability[:12].copy()
+        availability[3] = 0.0
+        sol = LookaheadPolicy(
+            scn.cluster, scn.arrivals[:12], availability, scn.prices[:12],
+            lookahead=12, beta=50.0,
+        ).solve()
+        assert np.all(sol.service[3] == 0.0)
+        assert sol.frame_gaps[0] <= 1e-9 * max(1.0, abs(sol.frame_costs[0]))

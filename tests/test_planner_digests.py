@@ -4,7 +4,7 @@
 
 * the T-step lookahead comparator (Section V-A): its frame costs,
   service and busy decisions at beta = 0 on the paper scenario and at
-  beta = 50 on the small scenario (the SLSQP frame);
+  beta = 50 on the paper and small scenarios;
 * the per-slot energy cost, queue total, per-site work and delay-sum
   series of the receding-horizon planner in its three forecast modes,
   of the eager baselines (Always, PriceThreshold, TroughFilling) and of
@@ -43,6 +43,7 @@ DIGESTS = Path(__file__).parent / "data" / "planner_digests.json"
 LOOKAHEAD = 12
 LOOKAHEAD_CASES = {
     "paper-beta0": ("paper", 48, 1, 0.0),
+    "paper-beta50": ("paper", 48, 1, 50.0),
     "small-beta50": ("small", 48, 5, 50.0),
 }
 SLOT_HORIZON = 200

@@ -182,7 +182,7 @@ def _result_fields():
     grid = np.arange(6.0).reshape(2, 3)
     return {
         LookaheadSolution: dict(
-            frame_costs=np.array([1.0, 2.0]), mean_cost=1.5,
+            frame_costs=np.array([1.0, 2.0]), frame_gaps=np.zeros(2), mean_cost=1.5,
             service=np.ones((2, 2, 2)), busy=np.zeros((2, 2, 1)),
         ),
         Fig1Result: dict(
