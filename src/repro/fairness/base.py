@@ -22,6 +22,7 @@ that built the allocation itself calls the kernels.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import ClassVar
 
 import numpy as np
 
@@ -30,6 +31,11 @@ __all__ = ["FairnessFunction"]
 
 class FairnessFunction(ABC):
     """Interface for fairness scores over account allocations."""
+
+    #: Whether the score is concave in the allocation.  Only then does a
+    #: Frank-Wolfe gap through it bound the distance to the optimum, so
+    #: solves through a non-concave score count as ``solve.qp.uncertified``.
+    concave: ClassVar[bool] = True
 
     def score(
         self,

@@ -29,6 +29,8 @@ _EPS = 1e-12
 class JainFairness(FairnessFunction):
     """Share-weighted Jain index in ``(0, 1]``."""
 
+    concave = False
+
     def _weighted(self, alloc: np.ndarray, shares: np.ndarray) -> np.ndarray:
         safe_shares = np.where(shares > _EPS, shares, _EPS)
         return alloc / safe_shares

@@ -196,6 +196,17 @@ class Cluster:
         return _frozen(np.array([jt.account for jt in self.job_types], dtype=np.int64))
 
     @cached_property
+    def type_to_account(self) -> np.ndarray:
+        """``(J, M)`` matrix taking per-type work to per-account work.
+
+        Row ``j`` holds ``d_j`` in column ``rho_j`` and zeros elsewhere,
+        so a length-``J`` vector of jobs served maps to ``r_m`` by a dot.
+        """
+        mat = np.zeros((self.num_job_types, self.num_accounts))
+        mat[np.arange(self.num_job_types), self.account_of_type] = self.demands
+        return _frozen(mat)
+
+    @cached_property
     def _eligibility(self) -> np.ndarray:
         mat = np.zeros((self.num_datacenters, self.num_job_types), dtype=bool)
         for j, jt in enumerate(self.job_types):

@@ -13,9 +13,10 @@ Two registry instances back the whole observability layer:
 * the **stats registry** (:func:`stats_registry`) carries the coarse
   session counters the CLI reports after every command — runner
   executions, cache hits/misses/stores, cache size gauges — plus the
-  silent-degradation counters (``solve.qp.capped``, ``sim.clip.*``),
-  which fire only on the slot a degradation happens.  These call sites
-  are rare, so this registry is always enabled.
+  silent-degradation counters (``solve.qp.capped``,
+  ``solve.qp.uncertified``, ``sim.clip.*``), which fire only on the slot
+  a degradation happens.  These call sites are rare, so this registry is
+  always enabled.
 
 This module is the one place in ``src/repro`` allowed to read the
 performance clock directly; everything else reads :meth:`Registry.clock`

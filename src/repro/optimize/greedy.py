@@ -24,35 +24,67 @@ beta > 0 solver (:mod:`repro.optimize.qp`).
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.optimize.slot_problem import SlotServiceProblem
 
-__all__ = ["greedy_walk", "solve_greedy"]
+__all__ = ["WalkInputs", "greedy_walk", "solve_greedy", "walk_inputs"]
 
 _EPS = 1e-12
 
 
-def greedy_walk(
-    weights: np.ndarray,
-    h_upper: np.ndarray,
-    demands: np.ndarray,
-    v: float,
-    segments: list,
-) -> tuple:
+class WalkInputs(NamedTuple):
+    """The slot-fixed inputs of :func:`greedy_walk`; see :func:`walk_inputs`."""
+
+    h_upper: np.ndarray
+    demands: np.ndarray
+    #: ``demands`` as Python floats.
+    dem: list
+    #: Per site, the work ``h_upper * d`` each type wants, as Python floats.
+    wanted: list
+    #: Per site, the merged marginal-cost curve ``[(work, V * cost/work)]``.
+    segments: list
+
+
+def walk_inputs(problem: SlotServiceProblem) -> WalkInputs:
+    """Everything :func:`greedy_walk` needs from *problem* but the weights.
+
+    A beta > 0 slot walks ~3 times with different weights; building
+    these once keeps the per-walk work to the weights themselves.  Each
+    segment's cost per work is scaled by ``V`` here, once, instead of at
+    every step of every walk.
+    """
+    demands = problem.cluster.demands
+    v = problem.v
+    segments = [
+        [(work, v * cost) for work, cost in problem.marginal_cost_segments(i)]
+        for i in range(problem.h_upper.shape[0])
+    ]
+    return WalkInputs(
+        problem.h_upper,
+        demands,
+        demands.tolist(),
+        (problem.h_upper * demands).tolist(),
+        segments,
+    )
+
+
+def greedy_walk(weights: np.ndarray, walk: WalkInputs) -> tuple:
     """Exactly minimize ``V e(h) - weights . h`` per site; return ``(h, V e)``.
 
-    *segments* holds one merged marginal-cost curve per site
+    *walk* holds the slot-fixed inputs (:func:`walk_inputs`), among them
+    one merged marginal-cost curve per site
     (:meth:`SlotServiceProblem.marginal_cost_segments`).  The returned
     cost is the ``V e(h)`` the walk accumulated while matching demand
     against supply, so callers get the energy term without re-evaluating
     it.  Negative weights are never served.
     """
-    dem = demands.tolist()
+    h_upper, demands, dem, wanted, segments = walk
     # Demand side: value per unit work, most valuable first.
     values_all = weights / demands
-    orders = np.argsort(-values_all, axis=1, kind="stable").tolist()
-    wanted = (h_upper * demands).tolist()
+    orders = (-values_all).argsort(axis=1, kind="stable").tolist()
     rows = []
     cost = 0.0
 
@@ -70,7 +102,7 @@ def greedy_walk(
             if want <= _EPS or values[j] <= _EPS:
                 continue
             while want > _EPS and seg_idx < len(site):
-                unit_cost = v * site[seg_idx][1]
+                unit_cost = site[seg_idx][1]
                 if values[j] <= unit_cost + _EPS:
                     # Cheapest remaining supply is already too expensive
                     # for this (and all less valuable) demand.
@@ -102,8 +134,5 @@ def solve_greedy(problem: SlotServiceProblem) -> np.ndarray:
         raise ValueError(
             "solve_greedy is exact only for beta = 0; use solve_qp for beta > 0"
         )
-    segments = [problem.marginal_cost_segments(i) for i in range(problem.h_upper.shape[0])]
-    h, _ = greedy_walk(
-        problem.queue_weights, problem.h_upper, problem.cluster.demands, problem.v, segments
-    )
+    h, _ = greedy_walk(problem.queue_weights, walk_inputs(problem))
     return h

@@ -26,7 +26,22 @@ gradient); it drops a vertex in one step where pairwise steps zig-zag.
 On the paper scenario (V = 7.5, beta = 100, 2000 slots, seeds 3 and 4)
 about 7% of slots take a Newton step; with pairwise steps alone 2-4
 slots per run hit the iteration cap and the run is ~10% slower.
-Every step ends in an exact line search.
+Every step ends in an exact line search.  The certificate needs a
+concave ``f``; solves through one that is not (Jain's index) count as
+``solve.qp.uncertified``.
+
+A slot is tiny (N = 3, J = 8, M = 4 on the paper scenario, ~2 steps and
+~3 oracle calls), so its cost is numpy call overhead, not arithmetic.
+What depends only on the slot is built once per slot: the walk's inputs
+(:func:`~repro.optimize.greedy.walk_inputs`) and, once per cluster,
+``Cluster.type_to_account``.  Each step reuses the loop's gradient for
+the line search's slope at 0 and evaluates ``F`` only when the gap
+exceeds the bare tolerance.  A pairwise step updates just its two
+weights.  As a dense ``+-1`` direction ``d`` it would add only exact
+zeros to ``psi . d`` and ``d . rs`` (``x + 0.0 == x``), so
+``psi[t] - psi[w]`` and ``rs[t] - rs[w]`` have the same values (an
+exact zero may change sign, which no comparison or fairness kernel
+downstream can tell apart).  Newton steps keep their dense direction.
 
 Memory-constrained clusters use the LP as the oracle, because the greedy
 walk cannot see the footnote-3 memory coupling.  The solve starts from
@@ -40,7 +55,7 @@ import dataclasses
 import numpy as np
 
 from repro.obs.registry import metrics_registry, stats_registry
-from repro.optimize.greedy import greedy_walk, solve_greedy
+from repro.optimize.greedy import greedy_walk, solve_greedy, walk_inputs
 from repro.optimize.lp import solve_lp
 from repro.optimize.slot_problem import SlotServiceProblem
 
@@ -81,10 +96,10 @@ def _oracle(problem: SlotServiceProblem):
             return h, problem.v * problem.energy_cost(h)
 
         return lp_oracle
-    segments = [problem.marginal_cost_segments(i) for i in range(cluster.num_datacenters)]
+    walk = walk_inputs(problem)
 
     def greedy_oracle(weights: np.ndarray) -> tuple:
-        return greedy_walk(weights, problem.h_upper, cluster.demands, problem.v, segments)
+        return greedy_walk(weights, walk)
 
     return greedy_oracle
 
@@ -110,19 +125,20 @@ def frank_wolfe(
     shares = cluster.fair_shares
     fairness = problem.fairness
     pull = problem.v * problem.beta
-    # Per-type work -> per-account totals: r(h) = h.sum(0) @ to_account.
-    to_account = np.zeros((cluster.num_job_types, cluster.num_accounts))
-    to_account[np.arange(cluster.num_job_types), account_of_type] = demands
+    # Per-type work -> per-account totals: r(h) = h.sum(0) . to_account.
+    to_account = cluster.type_to_account
     oracle = _oracle(problem)
 
     def vertex(weights: np.ndarray) -> tuple:
         h, energy = oracle(weights)
-        return h, energy - float(np.sum(queue * h)), h.sum(axis=0) @ to_account
+        return h, energy - float((queue * h).sum()), h.sum(axis=0).dot(to_account)
 
     first = vertex(queue)
     if total <= 0:
         # Every site is out: the feasible set is {0} and f is undefined.
         return first[0], 0.0, 0
+    if not fairness.concave:
+        stats_registry().counter_add("solve.qp.uncertified")
 
     # The unchecked kernels: every r the loop visits lies in the hull of
     # the vertices' non-negative account totals (up to rounding), and
@@ -135,8 +151,8 @@ def frank_wolfe(
         max_iterations,
         tolerance,
     )
-    h = np.minimum(np.tensordot(lam, np.stack(hs), axes=1), problem.h_upper)
-    return h, gap, iterations
+    combined = lam.dot(np.array(hs).reshape(len(hs), -1)).reshape(problem.h_upper.shape)
+    return np.minimum(combined, problem.h_upper), gap, iterations
 
 
 def conditional_gradient(
@@ -148,8 +164,10 @@ def conditional_gradient(
     ``Psi(x) + g . r(x)`` (``Psi`` convex, ``r`` linear), *first* the
     start in that form, and *grad*/*value* give ``F`` at ``r``.  Returns
     ``(weights, vertices, gap, iterations)``: ``gap`` bounds the
-    objective at ``sum weights_v x_v`` minus the optimum.  Runs that stop
-    at *max_iterations* are counted as ``solve.qp.capped``.
+    objective at ``sum weights_v x_v`` minus the optimum, and the loop
+    stops once it is at most ``tolerance * max(1, |objective|)``
+    (*tolerance* >= 0).  Runs that stop at *max_iterations* are counted
+    as ``solve.qp.capped``.
     """
     x0, psi0, r0 = first
     xs = [x0]
@@ -160,10 +178,10 @@ def conditional_gradient(
     iterations = 0
     stalled = False
     while True:
-        r = lam @ rs
+        r = lam.dot(rs)
         g = grad(r)
-        lin = psi + rs @ g
-        worst = int(np.argmax(lin))
+        lin = psi + rs.dot(g)
+        worst = int(lin.argmax())
         if iterations == max_iterations:
             stats_registry().counter_add("solve.qp.capped")
             break
@@ -173,41 +191,49 @@ def conditional_gradient(
             # The active vertices are far from their own optimum: improve
             # inside their hull before asking the oracle for a new one.
             direction = _newton_direction(lam, lin, rs, r, g, grad)
-        corrective = direction is not None
-        if not corrective:
+        if direction is None:
             x_s, psi_s, r_s = vertex(g)
-            gap = float(lam @ lin) - (psi_s + float(r_s @ g))
-            objective = float(lam @ psi) + value(r)
+            gap = float(lam.dot(lin)) - (psi_s + float(r_s.dot(g)))
+            # max(1, |objective|) >= 1, so a gap within the bare tolerance
+            # stops without evaluating F.
+            if gap <= tolerance:
+                break
+            objective = float(lam.dot(psi)) + value(r)
             if gap <= tolerance * max(1.0, abs(objective)):
                 break
-            target = next(
-                (k for k, x_v in enumerate(xs) if np.array_equal(x_v, x_s)), len(xs)
-            )
+            target = next((k for k, x_v in enumerate(xs) if (x_v == x_s).all()), len(xs))
             if target == worst:
                 break
             if target == len(xs):
                 xs.append(x_s)
-                psi = np.append(psi, psi_s)
-                rs = np.vstack([rs, r_s])
-                lam = np.append(lam, 0.0)
+                psi = np.concatenate((psi, [psi_s]))
+                rs = np.concatenate((rs, r_s[np.newaxis, :]))
+                lam = np.concatenate((lam, [0.0]))
             # Pairwise step: move weight from the worst vertex to the new one.
-            direction = np.zeros(len(lam))
-            direction[worst], direction[target] = -1.0, 1.0
-        shrinking = direction < 0
-        ratios = lam[shrinking] / -direction[shrinking]
-        limit = float(ratios.min())
-        step = _line_search(float(psi @ direction), r, direction @ rs, limit, grad)
-        if step <= 0.0:
-            if not corrective:
+            d_psi = float(psi[target] - psi[worst])
+            limit = float(lam[worst])
+            step = _line_search(d_psi, r, rs[target] - rs[worst], limit, g, grad)
+            if step <= 0.0:
                 break
-            stalled = True
-            continue
+            # At step == limit this leaves lam[worst] exactly 0.0.
+            lam[worst] -= step
+            lam[target] += step
+        else:
+            shrinking = direction < 0
+            ratios = lam[shrinking] / -direction[shrinking]
+            limit = float(ratios.min())
+            step = _line_search(
+                float(psi.dot(direction)), r, direction.dot(rs), limit, g, grad
+            )
+            if step <= 0.0:
+                stalled = True
+                continue
+            lam = lam + step * direction
+            if step == limit:
+                lam[np.flatnonzero(shrinking)[int(ratios.argmin())]] = 0.0
         stalled = False
-        lam = lam + step * direction
-        if step == limit:
-            lam[np.flatnonzero(shrinking)[int(np.argmin(ratios))]] = 0.0
-        keep = lam > _DROP
-        if not keep.all():
+        if not lam.min() > _DROP:
+            keep = lam > _DROP
             xs = [x_v for x_v, kept in zip(xs, keep) if kept]
             psi, rs, lam = psi[keep], rs[keep], lam[keep]
         lam /= lam.sum()
@@ -246,19 +272,21 @@ def _newton_direction(lam, lin, rs, r, g, grad):
     return direction
 
 
-def _line_search(d_psi: float, r: np.ndarray, d_r: np.ndarray, limit: float, grad) -> float:
+def _line_search(
+    d_psi: float, r: np.ndarray, d_r: np.ndarray, limit: float, g: np.ndarray, grad
+) -> float:
     """Minimize ``d_psi * t + F(r + t d_r)`` over ``t`` in ``[0, limit]``.
 
-    The derivative ``d_psi + grad(r + t d_r) . d_r`` is non-decreasing, so
-    the minimizer is its root, bracketed and found by Illinois
-    (safeguarded secant) steps.  For the quadratic fairness the
-    derivative is affine and the first secant step is exact.
+    *g* is ``grad(r)``.  The derivative ``d_psi + grad(r + t d_r) . d_r``
+    is non-decreasing, so the minimizer is its root, bracketed and found
+    by Illinois (safeguarded secant) steps.  For the quadratic fairness
+    the derivative is affine and the first secant step is exact.
     """
 
     def slope(t: float) -> float:
-        return d_psi + float(grad(r + t * d_r) @ d_r)
+        return d_psi + float(grad(r + t * d_r).dot(d_r))
 
-    lo, s_lo = 0.0, slope(0.0)
+    lo, s_lo = 0.0, d_psi + float(g.dot(d_r))
     if s_lo >= 0.0:
         return 0.0
     hi, s_hi = limit, slope(limit)

@@ -35,6 +35,7 @@ from repro._validation import ValueEquality, require_integer, require_non_negati
 from repro.fairness.base import FairnessFunction
 from repro.fairness.quadratic import QuadraticFairness
 from repro.model.cluster import Cluster
+from repro.obs.registry import stats_registry
 from repro.optimize.qp import conditional_gradient
 
 __all__ = ["LookaheadPolicy", "LookaheadSolution", "frame_program"]
@@ -225,8 +226,7 @@ class LookaheadPolicy:
         # A slot without capacity serves nothing, and f is undefined there.
         live = np.flatnonzero(totals > 0)
         # Per-type work -> per-account totals: r_t = h_t.sum(0) @ to_account.
-        to_account = np.zeros((j_count, m))
-        to_account[np.arange(j_count), cluster.account_of_type] = cluster.demands
+        to_account = cluster.type_to_account
 
         def vertex(x: np.ndarray) -> tuple:
             r = x[:num_h].reshape(t_len, n, j_count).sum(axis=1) @ to_account
@@ -251,6 +251,8 @@ class LookaheadPolicy:
             per_slot = r.reshape(t_len, m)
             return -beta * sum(fairness._score(per_slot[t], totals[t], shares) for t in live)
 
+        if not fairness.concave:
+            stats_registry().counter_add("solve.qp.uncertified")
         lam, xs, gap, _ = conditional_gradient(
             oracle, vertex(x0), grad, value, _FRAME_ITERATIONS, 1e-9
         )

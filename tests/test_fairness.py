@@ -5,12 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.grefar import GreFarScheduler
 from repro.fairness import (
     AlphaFairness,
     JainFairness,
     MaxMinFairness,
     QuadraticFairness,
 )
+from repro.obs.registry import stats_registry
+from repro.scenarios import small_scenario
+from repro.simulation.simulator import Simulator
 
 SHARES = np.array([0.4, 0.3, 0.15, 0.15])
 R = 100.0
@@ -172,3 +176,21 @@ class TestConcavityProperties:
         for fn in ALL_FUNCTIONS:
             grad = fn.gradient(alloc, R, SHARES)
             assert np.all(np.isfinite(grad))
+
+
+class TestUncertifiedSolves:
+    def test_only_jain_is_not_concave(self):
+        assert [fn.concave for fn in ALL_FUNCTIONS] == [True, True, True, True, False, True]
+
+    @pytest.mark.parametrize("fairness, per_slot", [(JainFairness(), 1), (QuadraticFairness(), 0)])
+    def test_beta_run_counts_each_jain_solve(self, fairness, per_slot):
+        """A Frank-Wolfe gap through Jain's index certifies nothing, so
+        every lit beta > 0 slot counts as ``solve.qp.uncertified``."""
+        scenario = small_scenario(horizon=30, seed=2)
+        cluster = scenario.cluster
+        assert all(scenario.state_at(t).total_resource(cluster) > 0 for t in range(30))
+        stats = stats_registry()
+        before = stats.counter("solve.qp.uncertified")
+        scheduler = GreFarScheduler(cluster, v=5.0, beta=50.0, fairness=fairness)
+        Simulator(scenario, scheduler).run()
+        assert stats.counter("solve.qp.uncertified") - before == 30 * per_slot

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.fairness import JainFairness
 from repro.obs.registry import stats_registry
 from repro.schedulers.lookahead import LookaheadPolicy
 from repro.scenarios import small_scenario
@@ -136,9 +137,12 @@ class TestConvexFrames:
         beta = 0 LP start, and closes its gap without hitting the cap."""
         lookahead = 12
         policy = _policy(scn, lookahead=lookahead, beta=50.0)
-        capped = stats_registry().counter("solve.qp.capped")
+        stats = stats_registry()
+        capped = stats.counter("solve.qp.capped")
+        uncertified = stats.counter("solve.qp.uncertified")
         sol = policy.solve()
-        assert stats_registry().counter("solve.qp.capped") == capped
+        assert stats.counter("solve.qp.capped") == capped
+        assert stats.counter("solve.qp.uncertified") == uncertified
         for r, (cost, gap) in enumerate(zip(sol.frame_costs, sol.frame_gaps)):
             start_cost, slsqp_cost = solve_frame_slsqp(
                 policy, r * lookahead, (r + 1) * lookahead
@@ -146,6 +150,17 @@ class TestConvexFrames:
             assert cost <= slsqp_cost + 1e-9 * max(1.0, abs(cost))
             assert cost <= start_cost
             assert 0.0 <= gap <= 1e-9 * max(1.0, abs(cost))
+
+    def test_jain_frames_count_as_uncertified(self, scn):
+        """Jain's index is not concave: each beta > 0 frame's gap through
+        it certifies nothing and counts once."""
+        stats = stats_registry()
+        before = stats.counter("solve.qp.uncertified")
+        LookaheadPolicy(
+            scn.cluster, scn.arrivals[:2], scn.availability[:2], scn.prices[:2],
+            lookahead=1, beta=50.0, fairness=JainFairness(),
+        ).solve()
+        assert stats.counter("solve.qp.uncertified") - before == 2
 
     def test_beta_zero_frames_have_no_gap(self, scn):
         sol = _policy(scn, lookahead=12).solve()

@@ -48,6 +48,7 @@ SILENT_COUNTERS = (
     "resilient.clip.changed",
     "sim.floor.nudged",
     "solve.qp.capped",
+    "solve.qp.uncertified",
 )
 
 

@@ -3,15 +3,19 @@
 Each property draws a random cluster (outage sites, coefficient ties,
 ingress costs, memory limits, small routing bounds) and one slot's
 queues, prices and candidate decisions, then compares the code in
-``src/`` with the loop it replaced (``tests/oracles/slot_loops.py``):
-equal values and equal signs of zero.
+``src/`` with the loop it replaced (``tests/oracles/slot_loops.py``, and
+``tests/oracles/frank_wolfe_loop.py`` for the beta > 0 solve): equal
+values and equal signs of zero.
 """
+
+import dataclasses
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.grefar import GreFarScheduler
+from repro.fairness import AlphaFairness, JainFairness, MaxMinFairness, QuadraticFairness
 from repro.model.action import Action
 from repro.model.cluster import Cluster
 from repro.model.datacenter import DataCenter
@@ -19,10 +23,13 @@ from repro.model.job import Account, JobType
 from repro.model.pricing import LinearPricing, TieredPricing
 from repro.model.server import ServerClass
 from repro.model.state import ClusterState
-from repro.optimize import SlotServiceProblem
-from repro.optimize.greedy import greedy_walk
+from repro.optimize import SlotServiceProblem, SolverFailure
+from repro.obs.registry import stats_registry
+from repro.optimize.greedy import greedy_walk, walk_inputs
+from repro.optimize.qp import frank_wolfe
 from repro.optimize.slot_problem import busy_counts, supply_matrix
 from repro.schedulers.base import routable_sites, route_greedily
+from tests.oracles.frank_wolfe_loop import frank_wolfe as frank_wolfe_loop
 from tests.oracles.slot_loops import (
     account_work_add_at,
     busy_counts_columns,
@@ -249,8 +256,76 @@ def test_busy_counts_match_columns(slot, data):
 def test_greedy_walk_matches_per_site(slot):
     problem = problem_for(slot)
     segments = [problem.marginal_cost_segments(i) for i in range(problem.h_upper.shape[0])]
-    args = (problem.queue_weights, problem.h_upper, problem.cluster.demands, problem.v, segments)
-    h_fast, cost_fast = greedy_walk(*args)
-    h_slow, cost_slow = greedy_walk_per_site(*args)
+    h_fast, cost_fast = greedy_walk(problem.queue_weights, walk_inputs(problem))
+    h_slow, cost_slow = greedy_walk_per_site(
+        problem.queue_weights, problem.h_upper, problem.cluster.demands, problem.v, segments
+    )
     assert_bits_equal(h_fast, h_slow)
     assert_bits_equal(cost_fast, cost_slow)
+
+
+FAIRNESS = (
+    QuadraticFairness(),
+    AlphaFairness(alpha=0.5),
+    AlphaFairness(alpha=1.0),
+    AlphaFairness(alpha=2.0),
+    MaxMinFairness(),
+    JainFairness(),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    slots(),
+    st.data(),
+    st.sampled_from(FAIRNESS),
+    st.sampled_from([0.5, 10.0, 100.0]),
+    st.sampled_from([2, 5, 100]),
+    st.sampled_from([1e-9, 1e-3, 0.1]),
+)
+def test_frank_wolfe_matches_loop(slot, data, fairness, beta, max_iterations, tolerance):
+    # Memory-limited clusters (the LP oracle) come with the drawn slot.
+    # Most examples light every server, so that the loop runs; a dark
+    # slot returns before it.
+    state = slot["state"]
+    servers = np.array([dc.max_servers for dc in slot["cluster"].datacenters], dtype=float)
+    lit = data.draw(st.sampled_from(["full", "full", "full", "drawn", "dark"]))
+    if lit != "drawn":
+        availability = servers if lit == "full" else np.zeros_like(servers)
+        slot = {**slot, "state": ClusterState(availability, state.prices)}
+    shape = slot["dc"].shape
+    weights = np.array(
+        data.draw(
+            st.lists(
+                st.one_of(st.just(0.0), st.floats(0.0, 9.0)),
+                min_size=shape[0] * shape[1],
+                max_size=shape[0] * shape[1],
+            )
+        )
+    ).reshape(shape)
+    problem = dataclasses.replace(
+        problem_for(slot, weights=weights), beta=beta, fairness=fairness
+    )
+    fast = solve_counted(frank_wolfe, problem, max_iterations, tolerance)
+    slow = solve_counted(frank_wolfe_loop, problem, max_iterations, tolerance)
+    # Where HiGHS fails on the LP oracle's weights, both fail alike.
+    assert type(fast) is type(slow)
+    if isinstance(slow, str):
+        assert fast == slow
+        return
+    h_fast, gap_fast, steps_fast, capped_fast = fast
+    h_slow, gap_slow, steps_slow, capped_slow = slow
+    assert_bits_equal(h_fast, h_slow)
+    assert_bits_equal(gap_fast, gap_slow)
+    assert (steps_fast, capped_fast) == (steps_slow, capped_slow)
+
+
+def solve_counted(solve, problem, max_iterations, tolerance):
+    """``(h, gap, steps, capped)`` from *solve*, or its ``SolverFailure`` message."""
+    stats = stats_registry()
+    before = stats.counter("solve.qp.capped")
+    try:
+        h, gap, steps = solve(problem, max_iterations, tolerance)
+    except SolverFailure as exc:
+        return str(exc)
+    return h, gap, steps, stats.counter("solve.qp.capped") - before
