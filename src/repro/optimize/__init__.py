@@ -1,7 +1,7 @@
 """Per-slot optimization backends for the GreFar objective (14).
 
 * :func:`solve_greedy` — exact closed-form solution for ``beta = 0``;
-* :func:`solve_lp` — scipy LP reference for ``beta = 0``;
+* :func:`solve_lp` — HiGHS LP reference for ``beta = 0``;
 * :func:`solve_qp` — pairwise Frank-Wolfe over the greedy oracle for
   any ``beta >= 0``, with a certified optimality gap.
 

@@ -1,4 +1,4 @@
-"""Reference LP backend for the beta = 0 slot problem (scipy.linprog).
+"""Reference LP backend for the beta = 0 slot problem, and the one HiGHS entry point.
 
 Solves the exact linear program
 
@@ -15,21 +15,38 @@ bounds complete it.  Slower than
 assumptions; it is an independent cross-check (the property tests
 assert both backends agree), the beta = 0 backend on memory-limited
 clusters and the beta > 0 oracle there.
+
+:func:`highs` is the one place the package calls an LP solver: this
+backend, the lookahead comparator's frames and the receding-horizon
+planner all go through it.  It loads the solver on its first call, so
+a process that never solves an LP never pays for that import.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.optimize import SolverFailure
 from repro.optimize.slot_problem import SlotServiceProblem
 
-__all__ = ["solve_lp"]
+__all__ = ["highs", "solve_lp"]
+
+
+def highs(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray, bounds: list):
+    """``min c . x  s.t.  a_ub x <= b_ub``, *x* boxed by *bounds*, by HiGHS.
+
+    Returns the ``OptimizeResult`` whatever the outcome: each caller
+    decides what a failed solve means.  The import below runs the
+    module loader on the first call only; later calls find the loaded
+    module and look ``linprog`` up again, so a patched one is honoured.
+    """
+    from scipy.optimize import linprog
+
+    return linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
 
 
 def solve_lp(problem: SlotServiceProblem) -> np.ndarray:
-    """Solve the beta = 0 slot problem with scipy's HiGHS LP; return ``h``."""
+    """Solve the beta = 0 slot problem with the HiGHS LP; return ``h``."""
     if problem.beta > 0:
         raise ValueError("solve_lp handles beta = 0 only; use solve_qp for beta > 0")
     cluster = problem.cluster
@@ -78,7 +95,7 @@ def solve_lp(problem: SlotServiceProblem) -> np.ndarray:
     bounds = [(0.0, float(ub)) for ub in problem.h_upper.ravel()]
     bounds += [(0.0, float(width)) for width in widths]
 
-    result = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    result = highs(c, a_ub, b_ub, bounds)
     if not result.success:
         raise SolverFailure("lp", f"slot LP failed: {result.message}", problem)
     h = result.x[:num_h].reshape(n, j_count)

@@ -29,13 +29,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro._validation import ValueEquality, require_integer, require_non_negative
 from repro.fairness.base import FairnessFunction
 from repro.fairness.quadratic import QuadraticFairness
 from repro.model.cluster import Cluster
 from repro.obs.registry import stats_registry
+from repro.optimize.lp import highs
 from repro.optimize.qp import conditional_gradient
 
 __all__ = ["LookaheadPolicy", "LookaheadSolution", "frame_program"]
@@ -63,7 +63,7 @@ def frame_program(
     ``sum_{t, i in D_j} h_ijt >= demand_j``.  ``h`` is boxed by
     *h_bound* ``(N, J)`` and ``b`` by the availability.
 
-    Returns ``(c, A_ub, b_ub, bounds)``, ready for ``scipy.optimize.linprog``.
+    Returns ``(c, A_ub, b_ub, bounds)``, ready for :func:`~repro.optimize.lp.highs`.
     """
     t_len, n = prices.shape
     j_count, k_count = cluster.num_job_types, cluster.num_server_classes
@@ -262,8 +262,7 @@ class LookaheadPolicy:
 
 def _frame_lp(c: np.ndarray, program: tuple, start: int, stop: int):
     """HiGHS on *program*'s constraints with the costs *c*; raises if it fails."""
-    _, a_ub, b_ub, bounds = program
-    result = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    result = highs(c, *program[1:])
     if not result.success:
         raise RuntimeError(
             f"lookahead frame [{start}, {stop}) infeasible or failed: "

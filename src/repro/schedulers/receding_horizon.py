@@ -30,13 +30,13 @@ from __future__ import annotations
 from collections import deque
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro._validation import require_integer
 from repro.model.action import Action
 from repro.model.cluster import Cluster
 from repro.model.queues import QueueNetwork
 from repro.model.state import ClusterState
+from repro.optimize.lp import highs
 from repro.optimize.slot_problem import busy_counts, supply_matrix
 from repro.schedulers.base import Scheduler, routable_sites, route_greedily, service_upper_bounds
 from repro.schedulers.lookahead import frame_program
@@ -177,10 +177,9 @@ class RecedingHorizonScheduler(Scheduler):
         h_bound = self.cluster.max_service_matrix()
         prices, avail, arrivals = self._forecast(t, state)
         backlog = queues.front + queues.dc.sum(axis=0)
-        c, a_ub, b_ub, bounds = frame_program(
-            self.cluster, prices, avail, backlog + arrivals.sum(axis=0), h_bound
+        result = highs(
+            *frame_program(self.cluster, prices, avail, backlog + arrivals.sum(axis=0), h_bound)
         )
-        result = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
         if not result.success:
             # Forecast says infeasible (e.g. predicted blackout): fall
             # back to serving eagerly this window.

@@ -92,15 +92,17 @@ class AvailabilityModel:
         n, k = maxima.shape
         floor = self.floor_fraction * maxima
 
-        out = np.empty((horizon, n, k))
         # Start somewhere in the feasible band.
         frac = rng.uniform(self.floor_fraction, 1.0, size=(n, k))
         level = frac * maxima
+        # All the drift in one draw: the same numbers as one (N, K) draw per slot.
+        out = rng.uniform(-1.0, 1.0, size=(horizon, n, k)) * self.step_fraction * maxima
         for t in range(horizon):
-            drift = rng.uniform(-1.0, 1.0, size=(n, k)) * self.step_fraction * maxima
-            level = np.clip(level + drift, floor, maxima)
-            out[t] = np.round(level) if self.integer_counts else level
-        return out
+            # out[t] holds slot t's drift; the walk overwrites it with the level.
+            np.add(level, out[t], out=out[t])
+            np.maximum(out[t], floor, out=out[t])
+            level = np.minimum(out[t], maxima, out=out[t])
+        return np.round(out, out=out) if self.integer_counts else out
 
     def min_capacity(self) -> float:
         """Lower bound on systemwide capacity under this model.

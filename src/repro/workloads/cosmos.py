@@ -197,17 +197,23 @@ class CosmosWorkload:
         """Thin any slot whose total arriving work exceeds the cap (in place)."""
         demands = self.cluster.demands
         cap = self.max_total_work
-        for t in range(arrivals.shape[0]):
-            work = float(arrivals[t] @ demands)
+        # One pass over all slots finds those that may exceed the cap.  The
+        # margin covers the matrix product summing in another order than
+        # the per-slot dot below, which alone decides (and draws jitter).
+        over = np.flatnonzero(arrivals @ demands > cap * (1.0 - 1e-9))
+        for t in over.tolist():
+            row = arrivals[t]
+            work = float(row @ demands)
+            contributions = row * demands
             while work > cap:
                 # Drop one job from the type contributing the most work,
                 # randomizing ties via a tiny jitter.
-                contributions = arrivals[t] * demands
                 jitter = rng.random(len(contributions)) * 1e-6
-                j = int(np.argmax(contributions + jitter))
-                if arrivals[t, j] <= 0:
+                j = int((contributions + jitter).argmax())
+                if row[j] <= 0:
                     break
-                arrivals[t, j] -= 1
+                row[j] -= 1
+                contributions[j] = row[j] * demands[j]
                 work -= demands[j]
 
     def work_by_account(self, arrivals: np.ndarray) -> np.ndarray:

@@ -266,7 +266,7 @@ def test_lp_failure_is_typed_and_supervised(monkeypatch):
         message = "numerical difficulties"
         x = None
 
-    monkeypatch.setattr("repro.optimize.lp.linprog", lambda *a, **k: _FailedResult())
+    monkeypatch.setattr("repro.optimize.lp.highs", lambda *a, **k: _FailedResult())
     with pytest.raises(SolverFailure) as excinfo:
         solve_lp(problem)
     assert excinfo.value.backend == "lp"

@@ -12,6 +12,9 @@ from repro.scenarios import (
     small_cluster,
     small_scenario,
 )
+from repro.workloads.availability import AvailabilityModel
+from repro.workloads.cosmos import CosmosWorkload
+from tests.oracles.scenario_loops import admission_control_loop, availability_generate_loop
 
 
 class TestPaperCluster:
@@ -104,3 +107,32 @@ class TestSmallPresets:
         scn = small_scenario(horizon=200, seed=1)
         report = check_slackness(scn.cluster, scn.arrivals, scn.availability)
         assert report.feasible
+
+
+class TestGeneratorsMatchLoopOracles:
+    """The vectorised generator passes give the scenario their loops gave."""
+
+    @pytest.mark.parametrize("seed", [1, 3, 7])
+    @pytest.mark.parametrize(
+        "build", [paper_scenario, small_scenario], ids=["paper", "small"]
+    )
+    def test_scenario_equals_loop_built(self, build, seed, monkeypatch):
+        fast = build(horizon=2000, seed=seed)
+        thinned = []
+
+        def admission_control(workload, arrivals, rng):
+            before = arrivals.copy()
+            admission_control_loop(workload, arrivals, rng)
+            thinned.append(not np.array_equal(before, arrivals))
+
+        monkeypatch.setattr(CosmosWorkload, "_admission_control", admission_control)
+        monkeypatch.setattr(AvailabilityModel, "generate", availability_generate_loop)
+        assert build(horizon=2000, seed=seed) == fast
+        # The cap binds, so the comparison covers the thinning draws.
+        assert thinned == [True]
+
+    def test_continuous_availability_equals_loop(self):
+        model = AvailabilityModel(small_cluster(), integer_counts=False)
+        fast = model.generate(300, np.random.default_rng(4))
+        slow = availability_generate_loop(model, 300, np.random.default_rng(4))
+        assert fast.tobytes() == slow.tobytes()

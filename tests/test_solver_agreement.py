@@ -247,8 +247,9 @@ def paper_fair_trace():
     scheduler = GreFarScheduler(scenario.cluster, v=7.5, beta=100.0)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(scipy.optimize, "minimize", refuse)
+        # repro.optimize.lp.highs imports linprog at call time, so this
+        # one patch covers every LP the package could run.
         patch.setattr(scipy.optimize, "linprog", refuse)
-        patch.setattr("repro.optimize.lp.linprog", refuse)
         before = {
             name: stats.counter(name)
             for name in ("solve.qp.capped", "resilient.fallbacks", "resilient.incidents")
