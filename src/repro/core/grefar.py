@@ -108,9 +108,10 @@ class GreFarScheduler(Scheduler):
         problem = self._problem(state, dc)
         outcome = self._solve(problem, t)
         # The supervisor's loads serve the busy counts and the recorded work.
+        # The route fill, clip_feasible and busy_for hand over sealed, finite,
+        # non-negative arrays, which the checked constructor would keep as is.
         h, loads = outcome.h, outcome.loads
-        action = Action(route, h, problem.busy_for(h, loads))
-        return action._keep_work(self.cluster, h, loads)
+        return Action._sealed(self.cluster, route, h, problem.busy_for(h, loads), loads)
 
     # ------------------------------------------------------------------
     # Routing: linear in r with coefficient (q_ij - Q_j) plus, when

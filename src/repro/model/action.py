@@ -141,6 +141,30 @@ class Action(ValueEquality):
         )
         return cls(np.zeros((n, j)), np.zeros((n, j)), np.zeros((n, k)))
 
+    @classmethod
+    def _sealed(
+        cls,
+        cluster: Cluster,
+        route: np.ndarray,
+        serve: np.ndarray,
+        busy: np.ndarray,
+        loads: np.ndarray,
+    ) -> "Action":
+        """An action on these very arrays, unchecked, with *loads* as its :meth:`work_served`.
+
+        For a producer whose arrays already meet :func:`_owned`'s contract
+        (sealed, finite, non-negative ``float64`` with no ``-0.0``), so the
+        checked constructor would keep them as they are, and whose *loads*
+        is ``serve @ cluster.demands``.  GreFar's decisions are built so.
+        """
+        action = object.__new__(cls)
+        object.__setattr__(action, "route", route)
+        object.__setattr__(action, "serve", serve)
+        object.__setattr__(action, "busy", busy)
+        loads.flags.writeable = False
+        object.__setattr__(action, "_work", (cluster, loads))
+        return action
+
     # ------------------------------------------------------------------
     # Derived quantities
     # ------------------------------------------------------------------
@@ -160,13 +184,6 @@ class Action(ValueEquality):
             cached = (cluster, value)
             object.__setattr__(self, name, cached)
         return cached[1]
-
-    def _keep_work(self, cluster: Cluster, serve: np.ndarray, loads: np.ndarray) -> "Action":
-        """Adopt *loads* (``serve @ cluster.demands``) as :meth:`work_served` if *serve* is ours."""
-        if self.serve is serve:
-            loads.flags.writeable = False
-            object.__setattr__(self, "_work", (cluster, loads))
-        return self
 
     def capacity_used(self, cluster: Cluster) -> np.ndarray:
         """Per-site capacity provided by busy servers: ``sum_k b_ik s_k``."""

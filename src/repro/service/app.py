@@ -28,16 +28,37 @@ GET       ``/v1/slots``              per-slot records (``?start=&count=``)
 Every mutating or reading touch of the model state happens under one
 service-wide lock shared with the ticker, so a query never observes a
 half-applied slot and a tick never interleaves with a checkpoint.
+
+HTTP/1.1 framing: the stdlib handler's keep-alive loop reads each
+request line and dispatches on the method; the handler parses the rest
+itself, without the stdlib's ``email``-based header parser.  Limits
+are the stdlib's: a request line over 65,536 bytes is a 414, a header
+line over 65,536 bytes or more than 100 header lines a 431.  Header
+names are case-insensitive and a repeated header joins its values with
+``", "``.  HTTP/1.0 requests and ``Connection: close`` close the
+connection after the reply, and ``Expect: 100-continue`` is answered
+with a 100 before the body is read.  A body is framed by
+``Content-Length`` alone: ``Transfer-Encoding`` is a 501; a
+Content-Length that is not a byte count, or two different ones, a 400;
+one over 64 KiB a 413.  Each of these refusals, and a request line
+that is not ``<method> <path> HTTP/<major>.<minor>`` (400; HTTP/0.9
+too), an HTTP/2 version (505) or an unknown method (501), is answered
+with a JSON ``svc-v1`` error envelope and closes the connection.  Every
+reply is one write: status line, ``Server``, ``Date``, ``Content-Type``,
+``Content-Length``, any extra header (``Retry-After``), then the body.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import sys
 import threading
+import time
+from email.utils import formatdate
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional, Tuple
-from urllib.parse import parse_qs, urlparse
+from typing import Any, Optional, Tuple
+from urllib.parse import parse_qs
 
 from repro.obs.registry import metrics_registry, stats_registry
 from repro.resilient.checkpoint import CheckpointError
@@ -291,8 +312,28 @@ class SchedulerService:
         stats_registry().counter_add("service.shutdowns")
 
 
+#: The stdlib's request limits (``http.client._MAXLINE`` and
+#: ``_MAXHEADERS``): bytes per header line, header lines per request.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+#: ``HTTP/<major>.<minor>``, each part 1-10 digits (RFC 2145).
+_VERSION = re.compile(r"HTTP/(\d{1,10})\.(\d{1,10})", re.ASCII)
+
+
+class _Headers(dict):
+    """Request headers by lower-cased name; a repeated name joins with ``", "``."""
+
+    def get(self, name: str, default: Any = None) -> Any:
+        return super().get(name.lower(), default)
+
+
 class _Handler(BaseHTTPRequestHandler):
-    """Route table + envelope plumbing; all logic lives in the service."""
+    """Request framing, route table and envelope plumbing; all logic lives in the service.
+
+    The stdlib's keep-alive loop reads the request line (414 past 65,536
+    bytes) and dispatches to ``do_<METHOD>`` (501 otherwise).  Everything
+    after the request line is parsed here: see the module docstring.
+    """
 
     server_version = "repro-gateway/1.0"
     protocol_version = "HTTP/1.1"
@@ -304,55 +345,145 @@ class _Handler(BaseHTTPRequestHandler):
     def service(self) -> SchedulerService:
         return self.server.service  # type: ignore[attr-defined]
 
+    # -- framing -------------------------------------------------------
+    def parse_request(self) -> bool:
+        """Parse the request line, the headers and the body.
+
+        Returns False once a refusal has been sent (or, for an empty
+        request line, when there is nothing to answer).
+        """
+        self.command = ""
+        self.close_connection = True
+        self.requestline = line = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        words = line.split()
+        if not words:
+            return False
+        version = _VERSION.fullmatch(words[-1])
+        if len(words) != 3 or version is None:
+            return self._refuse(400, f"bad request line {line!r}")
+        number = int(version[1]), int(version[2])
+        if number >= (2, 0):
+            return self._refuse(505, f"HTTP version {words[2]} is not supported")
+        self.command, path, self.request_version = words
+        # As the stdlib does: '//x' would read as a host, not a path.
+        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
+        http11 = number >= (1, 1)
+        self.close_connection = not http11
+
+        headers = self.headers = _Headers()  # type: ignore[assignment]
+        for count in range(_MAX_HEADERS + 1):
+            raw = self.rfile.readline(_MAX_LINE + 1)
+            if len(raw) > _MAX_LINE:
+                return self._refuse(431, f"a header line is over {_MAX_LINE} bytes")
+            if raw in (b"\r\n", b"\n", b""):
+                break
+            if count == _MAX_HEADERS:
+                return self._refuse(431, f"more than {_MAX_HEADERS} header lines")
+            name, colon, value = str(raw, "iso-8859-1").partition(":")
+            if not colon or not name or name != name.strip():
+                return self._refuse(400, f"malformed header line {raw[:80]!r}", "bad_header")
+            key = name.lower()
+            value = value.strip()
+            headers[key] = f"{headers[key]}, {value}" if key in headers else value
+
+        # The body is framed by Content-Length alone; anything else would
+        # leave its bytes to be read as the next request.
+        if "transfer-encoding" in headers:
+            return self._refuse(
+                501,
+                "Transfer-Encoding is not supported; send the body with a Content-Length",
+                "transfer_encoding_unsupported",
+            )
+        lengths = {part.strip() for part in headers.get("content-length", "0").split(",")}
+        length = lengths.pop()
+        if lengths:
+            return self._refuse(400, "conflicting Content-Length values", "bad_content_length")
+        if not (length.isascii() and length.isdigit()):
+            return self._refuse(
+                400, f"Content-Length {length!r} is not a byte count", "bad_content_length"
+            )
+        size = int(length)
+        if size > MAX_BODY_BYTES:
+            return self._refuse(413, f"body exceeds {MAX_BODY_BYTES} bytes", "body_too_large")
+
+        connection = headers.get("connection", "").lower()
+        if connection == "close":
+            self.close_connection = True
+        elif connection == "keep-alive":
+            self.close_connection = False
+        if http11 and headers.get("expect", "").lower() == "100-continue":
+            self.handle_expect_100()
+        self.body = self.rfile.read(size)
+        return True
+
+    def send_error(
+        self, code: int, message: Optional[str] = None, explain: Optional[str] = None
+    ) -> None:
+        """The stdlib loop's own refusals (414, 501), as JSON envelopes."""
+        self._refuse(int(code), message or self.responses[code][0])
+
+    def _refuse(self, status: int, detail: str, error: Optional[str] = None) -> bool:
+        """Answer a request that cannot be served, close the connection; False.
+
+        *error* defaults to the status phrase (``431`` ->
+        ``request_header_fields_too_large``).
+        """
+        if error is None:
+            phrase = self.responses[status][0]
+            error = phrase.lower().replace(" ", "_").replace("-", "_")
+        self.close_connection = True
+        self._reply(status, error_body(error, detail))
+        return False
+
     # -- plumbing ------------------------------------------------------
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         pass  # per-request stderr noise off; obs counters cover it
 
     def _reply(self, status: int, body: dict, headers: Optional[dict] = None) -> None:
+        """Status line, headers and JSON body in one write."""
         raw = json.dumps(body).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(raw)))
+        head = (
+            f"HTTP/1.1 {status} {self.responses[status][0]}\r\n"
+            f"Server: {self.version_string()}\r\n"
+            f"{self.server.date_line()}"  # type: ignore[attr-defined]
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {len(raw)}\r\n"
+        )
         for key, value in (headers or {}).items():
-            self.send_header(key, value)
-        self.end_headers()
-        self.wfile.write(raw)
-
-    def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > MAX_BODY_BYTES:
-            raise WireError(413, "body_too_large", "request body too large")
-        return parse_json_body(self.rfile.read(length) if length else b"")
+            head += f"{key}: {value}\r\n"
+        if self.close_connection:
+            head += "Connection: close\r\n"
+        self.wfile.write(head.encode("latin-1") + b"\r\n" + raw)
 
     # -- routes --------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802
         service = self.service
-        parsed = urlparse(self.path)
+        path, _, query = self.path.partition("?")
         try:
-            if parsed.path == "/v1/health":
+            if path == "/v1/health":
                 self._reply(200, service.health())
-            elif parsed.path == "/v1/config":
+            elif path == "/v1/config":
                 self._reply(200, ok_body(config=service.config.as_dict()))
-            elif parsed.path == "/v1/accounts":
+            elif path == "/v1/accounts":
                 self._reply(200, service.accounts_view())
-            elif parsed.path == "/v1/queues":
+            elif path == "/v1/queues":
                 self._reply(200, service.queues_view())
-            elif parsed.path == "/v1/placement":
+            elif path == "/v1/placement":
                 self._reply(200, service.placement_view())
-            elif parsed.path == "/v1/fairness":
+            elif path == "/v1/fairness":
                 self._reply(200, service.fairness_view())
-            elif parsed.path == "/v1/metrics":
+            elif path == "/v1/metrics":
                 self._reply(200, service.metrics_view())
-            elif parsed.path == "/v1/stats":
+            elif path == "/v1/stats":
                 self._reply(200, service.stats_view())
-            elif parsed.path == "/v1/slots":
-                query = parse_qs(parsed.query)
-                start = int(query.get("start", ["0"])[0])
-                count_raw = query.get("count", [None])[0]
+            elif path == "/v1/slots":
+                params = parse_qs(query)
+                start = int(params.get("start", ["0"])[0])
+                count_raw = params.get("count", [None])[0]
                 count = None if count_raw is None else int(count_raw)
                 self._reply(200, service.slots_view(start=start, count=count))
             else:
-                self._reply(404, error_body("not_found", f"no route {parsed.path}"))
+                self._reply(404, error_body("not_found", f"no route {path}"))
         except WireError as exc:
             self._reply(exc.status, error_body(exc.code, exc.detail))
         except ValueError as exc:
@@ -360,13 +491,13 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:  # noqa: N802
         service = self.service
-        path = urlparse(self.path).path
+        path = self.path.partition("?")[0]
         try:
             if path == "/v1/jobs":
-                status, body, headers = service.submit(self._read_body())
+                status, body, headers = service.submit(parse_json_body(self.body))
                 self._reply(status, body, headers)
             elif path == "/v1/admin/tick":
-                body = self._read_body()
+                body = parse_json_body(self.body)
                 slots = body.get("slots", 1)
                 if isinstance(slots, bool) or not isinstance(slots, int):
                     raise WireError(400, "bad_field", "'slots' must be an integer")
@@ -410,6 +541,17 @@ class ServiceHTTPServer(ThreadingHTTPServer):
     def __init__(self, address: Tuple[str, int], service: SchedulerService) -> None:
         super().__init__(address, _Handler)
         self.service = service
+        self._date: Tuple[int, str] = (0, "")
+
+    def date_line(self) -> str:
+        """The replies' ``Date`` header line, formatted at most once per second."""
+        second, line = self._date
+        now = int(time.time())
+        if now != second:
+            # Handler threads may race here; each formats the same line.
+            line = f"Date: {formatdate(now, usegmt=True)}\r\n"
+            self._date = (now, line)
+        return line
 
     def stop_from_handler(self) -> None:
         """Graceful shutdown path for ``POST /v1/admin/shutdown``."""

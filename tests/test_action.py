@@ -165,15 +165,20 @@ class TestValueSemantics:
         assert restored == a
         assert not any(arr.flags.writeable for arr in (restored.route, restored.serve, restored.busy))
 
-    def test_adopts_loads_only_for_its_own_serve(self, cluster):
+    def test_sealed_keeps_its_arrays_and_loads(self, cluster):
+        import pickle
+
         h = np.array([[2.0, 0.0], [1.0, 3.0]])
         h.flags.writeable = False
         loads = h @ cluster.demands
-        kept = Action(np.zeros((2, 2)), h, np.zeros((2, 2)))._keep_work(cluster, h, loads)
-        assert kept.work_served(cluster) is loads
-        copied = Action(np.zeros((2, 2)), h.copy(), np.zeros((2, 2)))
-        copied._keep_work(cluster, h, loads)
-        assert copied.work_served(cluster) is not loads
+        route, busy = np.zeros((2, 2)), np.ones((2, 2))
+        route.flags.writeable = busy.flags.writeable = False
+        sealed = Action._sealed(cluster, route, h, busy, loads)
+        assert sealed.route is route and sealed.serve is h and sealed.busy is busy
+        assert sealed.work_served(cluster) is loads and not loads.flags.writeable
+        assert sealed == Action(route, h, busy)
+        restored = pickle.loads(pickle.dumps(sealed))
+        assert set(restored.__dict__) == {"route", "serve", "busy"}
 
 
 class TestValidate:

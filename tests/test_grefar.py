@@ -159,20 +159,26 @@ class TestService:
 class TestDecisionArrays:
     @pytest.mark.parametrize("beta, physical", [(0.0, True), (0.0, False), (100.0, True)])
     def test_action_keeps_the_slot_arrays(self, cluster, state, monkeypatch, beta, physical):
-        import repro.core.grefar as grefar
-
         handed = []
+        sealed = Action._sealed
 
-        def spy(route, serve, busy):
-            handed.append((route, serve, busy))
-            return Action(route, serve, busy)
+        def spy(cluster, route, serve, busy, loads):
+            handed.append((route, serve, busy, loads))
+            return sealed(cluster, route, serve, busy, loads)
 
-        monkeypatch.setattr(grefar, "Action", spy)
+        monkeypatch.setattr(Action, "_sealed", spy)
         q = _seed_queues(cluster, front=[4.0, 3.0], dc=[[1.0, 0.0], [0.0, 2.0]])
         scheduler = GreFarScheduler(cluster, v=5.0, beta=beta, physical=physical)
         action = scheduler.decide(3, state, q)
-        route, serve, busy = handed[-1]
-        # Route, clip and busy walk hand over sealed arrays: no copies.
+        route, serve, busy, loads = handed[-1]
         assert action.route is route
         assert action.serve is serve
         assert action.busy is busy
+        assert action.work_served(cluster) is loads
+        # Route, clip and busy walk hand over sealed arrays: the checked
+        # constructor would keep every one as is, so skipping it is exact.
+        checked = Action(route, serve, busy)
+        assert checked.route is route
+        assert checked.serve is serve
+        assert checked.busy is busy
+        np.testing.assert_array_equal(loads, serve @ cluster.demands)
