@@ -38,8 +38,8 @@ def parallelism_service_bounds(
     cluster:
         Supplies the per-type ``max_parallelism`` (``None`` = unbounded).
     state:
-        Supplies per-site availability, from which the fastest usable
-        server speed per site is derived.
+        Supplies the fastest usable server speed per site (its slot
+        table's ``fastest`` row).
     dc_queue_lengths:
         ``(N, J)`` current site queue lengths ``q_ij(t)`` (jobs).
 
@@ -55,10 +55,9 @@ def parallelism_service_bounds(
             f"{(cluster.num_datacenters, cluster.num_job_types)}, "
             f"got {dc_queue_lengths.shape}"
         )
-    speeds = cluster.speeds
     bounds = np.full((n, j_count), np.inf)
-    # Fastest class with any availability per site (0 if nothing is up).
-    fastest = np.where(state.availability > 0, speeds[np.newaxis, :], 0.0).max(axis=1)
+    table, t = state.environment(cluster)
+    fastest = table.fastest[t]
     for j, jt in enumerate(cluster.job_types):
         if jt.max_parallelism is None:
             continue

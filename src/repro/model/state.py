@@ -16,6 +16,7 @@ import numpy as np
 
 from repro._validation import ValueEquality, require_non_negative_array
 from repro.model.cluster import Cluster
+from repro.model.environment import SlotEnvironment
 
 __all__ = ["ClusterState"]
 
@@ -39,6 +40,10 @@ class ClusterState(ValueEquality):
         schedulers substitute last-known-good values via
         :meth:`~repro.schedulers.base.Scheduler.prepare_state` before
         using them.  Ground-truth states never carry NaN.
+
+    Its queue-independent slot inputs are one row of a
+    :class:`~repro.model.environment.SlotEnvironment`
+    (:meth:`environment`), a cache left out of pickles and equality.
     """
 
     availability: np.ndarray
@@ -78,21 +83,26 @@ class ClusterState(ValueEquality):
         object.__setattr__(self, "prices", price)
 
     @classmethod
-    def _from_trace(cls, availability: np.ndarray, prices: np.ndarray) -> "ClusterState":
-        """A slot snapshot over rows of a validated, sealed trace.
+    def _from_trace(
+        cls, availability: np.ndarray, prices: np.ndarray, table: SlotEnvironment | None = None,
+        t: int = 0,
+    ) -> "ClusterState":
+        """Slot *t* of a validated, sealed trace, whose slot table is *table*.
 
         No validation, no copy: only
         :meth:`~repro.simulation.trace.Scenario.state_at` calls this, with
-        read-only views of its sealed arrays, so the capacity cache below
-        can never go stale.
+        read-only views of its sealed arrays, so the cached row can never
+        go stale.
         """
         state = object.__new__(cls)
         object.__setattr__(state, "availability", availability)
         object.__setattr__(state, "prices", prices)
+        if table is not None:
+            object.__setattr__(state, "_slot", (table, t, table.capacities[t]))
         return state
 
     def __getstate__(self) -> dict:
-        # The per-cluster capacity cache stays out of pickles.
+        # The slot-table link stays out of pickles.
         return {"availability": self.availability, "prices": self.prices}
 
     def __setstate__(self, state: dict) -> None:
@@ -131,22 +141,31 @@ class ClusterState(ValueEquality):
 
     def capacities(self, cluster: Cluster) -> np.ndarray:
         """Per-site work capacity ``sum_k n_ik(t) * s_k`` (length ``N``, read-only)."""
-        return self._site_capacity(cluster)[1]
+        return self._row(cluster)[2]
 
     def total_resource(self, cluster: Cluster) -> float:
         """``R(t) = sum_i sum_k n_ik(t) * s_k``: systemwide resource (eq. 3)."""
-        return self._site_capacity(cluster)[2]
+        table, t, _ = self._row(cluster)
+        return float(table.total_resource[t])
 
-    def _site_capacity(self, cluster: Cluster) -> tuple:
-        # Computed once per (state, cluster): a slot asks for it from
-        # routing, the slot problem and the cost model.
-        cached = self.__dict__.get("_capacity")
-        if cached is None or cached[0] is not cluster:
+    def environment(self, cluster: Cluster) -> tuple:
+        """``(table, t)``: this slot is row *t* of the :class:`SlotEnvironment` *table*.
+
+        A state from :meth:`~repro.simulation.trace.Scenario.state_at`
+        holds its scenario's table; any other (or another cluster) builds
+        a length-1 table on first use.
+        """
+        table, t, _ = self._row(cluster)
+        return table, t
+
+    def _row(self, cluster: Cluster) -> tuple:
+        # (table, t, capacities row): one row view per state, handed out each call.
+        cached = self.__dict__.get("_slot")
+        if cached is None or cached[0].cluster is not cluster:
             self._check_dims(cluster)
-            caps = self.availability @ cluster.speeds
-            caps.flags.writeable = False
-            cached = (cluster, caps, float(np.sum(caps)))
-            object.__setattr__(self, "_capacity", cached)
+            table = SlotEnvironment(cluster, self.availability[None], self.prices[None])
+            cached = (table, 0, table.capacities[0])
+            object.__setattr__(self, "_slot", cached)
         return cached
 
     def validate_for(self, cluster: Cluster) -> "ClusterState":

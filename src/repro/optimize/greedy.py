@@ -11,7 +11,7 @@ processed only when ... electricity prices are sufficiently low",
 with ``W = p_k / s_k``).
 
 The supply side comes from
-:meth:`SlotServiceProblem.marginal_cost_segments`, which merges the
+:meth:`SlotServiceProblem.cost_segments`, which merges the
 server-efficiency curve with the electricity pricing tiers — so the
 greedy stays exact under any piecewise-linear convex pricing
 (Section III-A2), not just the flat per-slot price.
@@ -44,30 +44,32 @@ class WalkInputs(NamedTuple):
     dem: list
     #: Per site, the work ``h_upper * d`` each type wants, as Python floats.
     wanted: list
-    #: Per site, the merged marginal-cost curve ``[(work, V * cost/work)]``.
-    segments: list
+    #: Per site, the merged marginal-cost curve's widths, ``V * cost/work``
+    #: and segment count, as Python floats (rows past the count are padding).
+    widths: list
+    costs: list
+    counts: list
 
 
 def walk_inputs(problem: SlotServiceProblem) -> WalkInputs:
     """Everything :func:`greedy_walk` needs from *problem* but the weights.
 
     A beta > 0 slot walks ~3 times with different weights; building
-    these once keeps the per-walk work to the weights themselves.  Each
-    segment's cost per work is scaled by ``V`` here, once, instead of at
-    every step of every walk.
+    these once keeps the per-walk work to the weights themselves.  The
+    segments are the slot's row of the scenario's cost-curve table
+    (:meth:`SlotServiceProblem.cost_segments`), each cost per work scaled
+    by ``V`` here, once, instead of at every step of every walk.
     """
     demands = problem.cluster.demands
-    v = problem.v
-    segments = [
-        [(work, v * cost) for work, cost in problem.marginal_cost_segments(i)]
-        for i in range(problem.h_upper.shape[0])
-    ]
+    work, cost, count = problem.cost_segments()
     return WalkInputs(
         problem.h_upper,
         demands,
         demands.tolist(),
         (problem.h_upper * demands).tolist(),
-        segments,
+        work.tolist(),
+        (problem.v * cost).tolist(),
+        count.tolist(),
     )
 
 
@@ -76,33 +78,33 @@ def greedy_walk(weights: np.ndarray, walk: WalkInputs) -> tuple:
 
     *walk* holds the slot-fixed inputs (:func:`walk_inputs`), among them
     one merged marginal-cost curve per site
-    (:meth:`SlotServiceProblem.marginal_cost_segments`).  The returned
+    (:meth:`SlotServiceProblem.cost_segments`).  The returned
     cost is the ``V e(h)`` the walk accumulated while matching demand
     against supply, so callers get the energy term without re-evaluating
     it.  Negative weights are never served.
     """
-    h_upper, demands, dem, wanted, segments = walk
+    h_upper, demands, dem, wanted, widths, costs, counts = walk
     # Demand side: value per unit work, most valuable first.
     values_all = weights / demands
     orders = (-values_all).argsort(axis=1, kind="stable").tolist()
     rows = []
     cost = 0.0
 
-    for values, demand_order, work_wanted, site in zip(
-        values_all.tolist(), orders, wanted, segments
+    for values, demand_order, work_wanted, site_work, site_cost, count in zip(
+        values_all.tolist(), orders, wanted, widths, costs, counts
     ):
         served = [0.0] * len(dem)
         # Supply side: merged (servers x pricing tiers) marginal-cost
         # curve, cheapest work first.
         seg_idx = 0
-        seg_remaining = site[0][0] if site else 0.0
+        seg_remaining = site_work[0] if count else 0.0
 
         for j in demand_order:
             want = work_wanted[j]
             if want <= _EPS or values[j] <= _EPS:
                 continue
-            while want > _EPS and seg_idx < len(site):
-                unit_cost = site[seg_idx][1]
+            while want > _EPS and seg_idx < count:
+                unit_cost = site_cost[seg_idx]
                 if values[j] <= unit_cost + _EPS:
                     # Cheapest remaining supply is already too expensive
                     # for this (and all less valuable) demand.
@@ -114,8 +116,8 @@ def greedy_walk(weights: np.ndarray, walk: WalkInputs) -> tuple:
                 seg_remaining -= take
                 if seg_remaining <= _EPS:
                     seg_idx += 1
-                    seg_remaining = site[seg_idx][0] if seg_idx < len(site) else 0.0
-            if seg_idx >= len(site):
+                    seg_remaining = site_work[seg_idx] if seg_idx < count else 0.0
+            if seg_idx >= count:
                 break
         rows.append(served)
     h = np.array(rows, dtype=np.float64).reshape(h_upper.shape)

@@ -7,7 +7,7 @@ Solves the exact linear program
    \\min_{h, w}\\; V \\sum_i \\sum_s c_{is} w_{is} - \\sum_{ij} q_{ij} h_{ij}
 
 where ``w_is`` is the work site *i* runs on segment *s* of its merged
-marginal-cost curve (:meth:`SlotServiceProblem.marginal_cost_segments`),
+marginal-cost curve (:meth:`SlotServiceProblem.cost_segments`),
 priced at ``c_is`` per work, so any convex pricing tariff is exact.
 Per-site capacity coupling (eq. 11), memory limits (footnote 3) and box
 bounds complete it.  Slower than
@@ -24,12 +24,19 @@ a process that never solves an LP never pays for that import.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.optimize import SolverFailure
 from repro.optimize.slot_problem import SlotServiceProblem
 
 __all__ = ["highs", "solve_lp"]
+
+#: HiGHS reads a cost of 1e20 or more as infinite.  A slot LP whose
+#: costs reach past this bound, far above any instance but a fairness
+#: gradient at a near-empty site, has them divided by a power of two.
+_COST_BOUND = 2.0**60
 
 
 def highs(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray, bounds: list):
@@ -53,29 +60,29 @@ def solve_lp(problem: SlotServiceProblem) -> np.ndarray:
     n = cluster.num_datacenters
     j_count = cluster.num_job_types
     demands = cluster.demands
-    segments = [problem.marginal_cost_segments(i) for i in range(n)]
-    widths = [width for site in segments for width, _ in site]
+    work, cost, count = problem.cost_segments()
+    used = np.arange(work.shape[1]) < count[:, np.newaxis]
+    widths = work[used].tolist()
 
     num_h = n * j_count
     num_vars = num_h + len(widths)
 
     # Variable layout: [h_00..h_0J, h_10.., ..., w_0s.., w_1s.., ...]
-    c = np.concatenate(
-        [
-            -problem.queue_weights.ravel(),
-            problem.v * np.array([cost for site in segments for _, cost in site]),
-        ]
-    )
+    c = np.concatenate([-problem.queue_weights.ravel(), problem.v * cost[used]])
+    peak = float(np.abs(c).max(initial=0.0))
+    if peak > _COST_BOUND:
+        # Exact, and the minimizer is unchanged.
+        c = np.ldexp(c, -math.ceil(math.log2(peak / _COST_BOUND)))
 
     # Capacity coupling: sum_j d_j h_ij - sum_s w_is <= 0 per site.
     rows = []
     limits = []
     offset = num_h
-    for i, site in enumerate(segments):
+    for i, seg_count in enumerate(count.tolist()):
         row = np.zeros(num_vars)
         row[i * j_count : (i + 1) * j_count] = demands
-        row[offset : offset + len(site)] = -1.0
-        offset += len(site)
+        row[offset : offset + seg_count] = -1.0
+        offset += seg_count
         rows.append(row)
         limits.append(0.0)
     # Memory constraint (footnote 3): sum_j mem_j h_ij <= memcap_i.
@@ -93,7 +100,7 @@ def solve_lp(problem: SlotServiceProblem) -> np.ndarray:
     b_ub = np.array(limits)
 
     bounds = [(0.0, float(ub)) for ub in problem.h_upper.ravel()]
-    bounds += [(0.0, float(width)) for width in widths]
+    bounds += [(0.0, width) for width in widths]
 
     result = highs(c, a_ub, b_ub, bounds)
     if not result.success:

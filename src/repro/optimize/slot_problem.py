@@ -13,6 +13,11 @@ captures one instance of this problem — the queue weights, price and
 availability snapshot, upper bounds and fairness model — and offers the
 objective/feasibility evaluations every backend and every cross-check
 test needs, on the slot arithmetic of :mod:`repro.model.action`.
+
+Only the queue-dependent parts are built per problem.  Supply,
+capacities, ``R(t)`` and the merged marginal-cost curves are the
+state's row of its :class:`~repro.model.environment.SlotEnvironment`,
+computed once per scenario (or per hand-built state).
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from repro.fairness.base import FairnessFunction
 from repro.fairness.quadratic import QuadraticFairness
 from repro.model.action import account_work, energy_per_site, within
 from repro.model.cluster import Cluster
+from repro.model.environment import supply_matrix
 from repro.model.pricing import LinearPricing, PricingModel
 from repro.model.state import ClusterState
 
@@ -48,7 +54,9 @@ class SlotServiceProblem:
     Parameters
     ----------
     cluster, state:
-        System description and the slot snapshot ``x(t)``.
+        System description and the slot snapshot ``x(t)``; the state's
+        slot-table row supplies supply, capacities, ``R(t)`` and the
+        cost curves (:meth:`~repro.model.state.ClusterState.environment`).
     queue_weights:
         ``(N, J)`` matrix of data center queue lengths ``q_ij(t)`` —
         the linear reward for serving.
@@ -87,11 +95,12 @@ class SlotServiceProblem:
         require_non_negative(self.v, "v")
         require_non_negative(self.beta, "beta")
         elig = self.cluster.eligibility_matrix()
-        self.h_upper = np.where(elig, np.clip(self.h_upper, 0.0, None), 0.0)
-        self._supply = supply_matrix(self.cluster, self.state.availability)
-        self._capacities = self._supply.sum(axis=1)
-        self._capacities.flags.writeable = False
-        self._total_resource = self.state.total_resource(self.cluster)
+        self.h_upper = np.where(elig, np.maximum(self.h_upper, 0.0), 0.0)
+        table, t = self.state.environment(self.cluster)
+        self._slot = (table, t)
+        self._supply = table.supply[t]
+        self._capacities = table.capacities[t]
+        self._total_resource = float(table.total_resource[t])
 
     # ------------------------------------------------------------------
     # Static views
@@ -136,42 +145,23 @@ class SlotServiceProblem:
         draws = self.busy_for(h) @ self.cluster.active_powers
         return float(np.sum(energy_per_site(self.state.prices, draws, self.pricing)))
 
-    def marginal_cost_segments(self, i: int) -> List[tuple]:
-        """Merged marginal-cost curve of site *i*: ``[(work, cost/work)]``.
+    def cost_segments(self) -> tuple:
+        """This slot's merged marginal-cost curves: ``(work, cost, count)``.
 
-        Walks the supply segments (work capacity at power-per-work
-        ``w``) and the pricing tiers (energy width at cost-per-energy
-        ``u``) together: a stretch of work is charged ``w * u`` per unit
-        until either the supply segment or the tier is exhausted.  Both
-        component curves are non-decreasing, so the merged curve is a
-        valid convex marginal-cost curve and greedy matching against it
-        is exact.
+        Row *t* of :meth:`~repro.model.environment.SlotEnvironment.segments`
+        for the problem's pricing: ``(N, S)`` widths and costs per work,
+        and the ``N`` segment counts; see there for how supply and
+        pricing tiers merge.
         """
-        segments = []
-        tiers = list(self.pricing.tiers(self.state.prices[i]))
-        tier_idx = 0
-        tier_energy_left = tiers[0][0] if tiers else float("inf")
-        supply = zip(self._supply[i].tolist(), self.cluster.ordered_unit_powers)
-        for cap, unit_power in supply:
-            if cap <= _WORK_EPS:
-                continue
-            work_left = cap
-            while work_left > _EPS and tier_idx < len(tiers):
-                unit_cost = tiers[tier_idx][1]
-                if unit_power <= _EPS:
-                    work_in_tier = work_left
-                else:
-                    work_in_tier = min(work_left, tier_energy_left / unit_power)
-                if work_in_tier > _EPS:
-                    segments.append((work_in_tier, unit_power * unit_cost))
-                work_left -= work_in_tier
-                tier_energy_left -= work_in_tier * unit_power
-                if tier_energy_left <= _EPS:
-                    tier_idx += 1
-                    tier_energy_left = (
-                        tiers[tier_idx][0] if tier_idx < len(tiers) else 0.0
-                    )
-        return segments
+        table, t = self._slot
+        work, cost, count = table.segments(self.pricing)
+        return work[t], cost[t], count[t]
+
+    def marginal_cost_segments(self, i: int) -> List[tuple]:
+        """Merged marginal-cost curve of site *i*: ``[(work, cost/work)]``, cheapest first."""
+        work, cost, count = self.cost_segments()
+        used = count[i]
+        return list(zip(work[i, :used].tolist(), cost[i, :used].tolist()))
 
     def account_work(self, h: np.ndarray) -> np.ndarray:
         """Per-account work ``r_m(t)`` implied by service matrix *h*."""
@@ -251,15 +241,6 @@ class SlotServiceProblem:
                 out[i] *= scale
         out.flags.writeable = False
         return out
-
-
-def supply_matrix(cluster: Cluster, availability: np.ndarray) -> np.ndarray:
-    """``(N, K)`` work capacity ``n_ik s_k`` of each site and server class.
-
-    Columns follow ``cluster.class_order``, cheapest work first.
-    """
-    order = cluster.class_order
-    return availability[:, order] * cluster.speeds[order]
 
 
 def busy_counts(

@@ -42,9 +42,10 @@ def service_upper_bounds(
     bounds = cluster.max_service_matrix()
     if physical:
         bounds = np.minimum(bounds, dc_queue_lengths)
-    bounds = np.minimum(
-        bounds, parallelism_service_bounds(cluster, state, dc_queue_lengths)
-    )
+    if any(jt.max_parallelism is not None for jt in cluster.job_types):
+        bounds = np.minimum(
+            bounds, parallelism_service_bounds(cluster, state, dc_queue_lengths)
+        )
     return bounds
 
 

@@ -37,7 +37,7 @@ from repro.model.cluster import Cluster
 from repro.model.queues import QueueNetwork
 from repro.model.state import ClusterState
 from repro.optimize.lp import highs
-from repro.optimize.slot_problem import busy_counts, supply_matrix
+from repro.optimize.slot_problem import busy_counts
 from repro.schedulers.base import Scheduler, routable_sites, route_greedily, service_upper_bounds
 from repro.schedulers.lookahead import frame_program
 from repro.simulation.trace import Scenario
@@ -188,6 +188,6 @@ class RecedingHorizonScheduler(Scheduler):
 
     # ------------------------------------------------------------------
     def _busy_for(self, h: np.ndarray, state: ClusterState) -> np.ndarray:
-        supply = supply_matrix(self.cluster, state.availability)
-        loads = np.clip(h @ self.cluster.demands, 0.0, supply.sum(axis=1))
-        return busy_counts(self.cluster, supply, loads)
+        table, t = state.environment(self.cluster)
+        loads = np.clip(h @ self.cluster.demands, 0.0, table.capacities[t])
+        return busy_counts(self.cluster, table.supply[t], loads, table.capacities[t])

@@ -1,4 +1,4 @@
-"""A small stdlib client for the gateway (urllib; no dependencies).
+"""A small stdlib client for the gateway (http.client; no dependencies).
 
 :class:`ServiceClient` speaks the ``svc-v1`` wire protocol: JSON in,
 JSON out, HTTP errors surfaced as :class:`ServiceClientError` with the
@@ -7,16 +7,23 @@ honor backpressure for you — on a 429 it waits the server's
 ``Retry-After`` and retries, which is exactly the cooperative behavior
 the bounded intake is designed around.
 
+A client sends its calls one at a time over one keep-alive connection,
+so threads may share it.  A ``Connection: close`` reply drops the
+connection and the next call opens a new one.  A GET that finds its
+kept connection closed is sent once more on a new one; a POST never is.
+
 Used by ``examples/service_client.py``, the test suite and the CI smoke
 drill; equally usable from a notebook against a long-running gateway.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import threading
 import time
 import urllib.error
-import urllib.request
+import urllib.parse
 from typing import Optional
 
 __all__ = ["ServiceClient", "ServiceClientError"]
@@ -36,11 +43,27 @@ class ServiceClientError(RuntimeError):
 
 
 class ServiceClient:
-    """Talk to one gateway instance at *base_url*."""
+    """Talk to one gateway instance at *base_url* over one kept connection."""
 
     def __init__(self, base_url: str, timeout: float = 10.0) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = float(timeout)
+        parts = urllib.parse.urlsplit(self.base_url)
+        self._netloc, self._prefix = parts.netloc, parts.path
+        secure = parts.scheme == "https"
+        self._connection = http.client.HTTPSConnection if secure else http.client.HTTPConnection
+        self._lock = threading.Lock()
+        self._conn: Optional[http.client.HTTPConnection] = None  # guarded-by: self._lock
+
+    def close(self) -> None:
+        """Close the kept connection; the next call opens a new one."""
+        with self._lock:
+            self._drop()  # staticcheck: ignore[GF012] -- closing the socket is what the lock orders against the next call
+
+    def _drop(self) -> None:
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None
 
     # ------------------------------------------------------------------
     def _request(self, method: str, path: str, payload: Optional[dict] = None) -> dict:
@@ -49,22 +72,40 @@ class ServiceClient:
         if payload is not None:
             data = json.dumps(payload).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(
-            self.base_url + path, data=data, headers=headers, method=method
-        )
+        with self._lock:
+            reply = self._exchange(method, path, data, headers)  # staticcheck: ignore[GF012] -- one connection carries one exchange at a time
+        status, reason, reply_headers, body = reply
+        if 200 <= status < 300:
+            return json.loads(body.decode("utf-8"))
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as reply:
-                return json.loads(reply.read().decode("utf-8"))
-        except urllib.error.HTTPError as exc:
+            error = json.loads(body.decode("utf-8"))
+        except (ValueError, UnicodeDecodeError):
+            error = {"error": "http_error", "detail": f"HTTP Error {status}: {reason}"}
+        if "retry_after" not in error:
+            retry_header = reply_headers.get("Retry-After")
+            if retry_header is not None:
+                error["retry_after"] = float(retry_header)
+        raise ServiceClientError(status, error)
+
+    def _exchange(self, method: str, path: str, data, headers: dict) -> tuple:
+        """One request and its whole reply on the kept connection (lock held)."""
+        while True:
+            reused = self._conn is not None
+            if not reused:
+                self._conn = self._connection(self._netloc, timeout=self.timeout)
             try:
-                body = json.loads(exc.read().decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
-                body = {"error": "http_error", "detail": str(exc)}
-            if "retry_after" not in body:
-                retry_header = exc.headers.get("Retry-After")
-                if retry_header is not None:
-                    body["retry_after"] = float(retry_header)
-            raise ServiceClientError(exc.code, body) from None
+                self._conn.request(method, self._prefix + path, body=data, headers=headers)
+                reply = self._conn.getresponse()
+                body = reply.read()
+            except (OSError, http.client.HTTPException) as exc:
+                self._drop()
+                stale = isinstance(exc, (ConnectionResetError, BrokenPipeError))
+                if stale and reused and method == "GET":
+                    continue  # the server closed the idle connection
+                raise urllib.error.URLError(exc) from exc
+            if reply.will_close:
+                self._drop()
+            return reply.status, reply.reason, reply.headers, body
 
     def get(self, path: str) -> dict:
         return self._request("GET", path)

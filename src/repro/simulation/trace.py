@@ -8,13 +8,14 @@ workload models, saved to ``.npz`` and reloaded bit-exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from repro._validation import ValueEquality, is_sealed
 from repro.model.cluster import Cluster
+from repro.model.environment import SlotEnvironment
 from repro.model.state import ClusterState
 from repro.workloads.availability import AvailabilityModel
 from repro.workloads.cosmos import CosmosWorkload
@@ -38,6 +39,11 @@ class Scenario(ValueEquality):
     The three arrays are validated once and kept read-only, so one
     scenario can be shared by any number of runs.  Two scenarios are
     equal when their clusters and arrays are.
+
+    The first :meth:`state_at` call builds the queue-independent inputs
+    of every slot (:class:`~repro.model.environment.SlotEnvironment`),
+    which all runs over the scenario then share.  It is a cache: pickles
+    and equality leave it out.
 
     Attributes
     ----------
@@ -88,6 +94,10 @@ class Scenario(ValueEquality):
         object.__setattr__(self, "availability", _frozen(availability))
         object.__setattr__(self, "prices", _frozen(prices))
 
+    def __getstate__(self) -> dict:
+        # The slot table is a cache: it stays out of pickles, like Cluster's.
+        return {f.name: self.__dict__[f.name] for f in fields(self)}
+
     def __setstate__(self, state: dict) -> None:
         # Unpickled arrays come back writable and held by nothing else.
         for value in state.values():
@@ -102,10 +112,17 @@ class Scenario(ValueEquality):
         return int(self.arrivals.shape[0])
 
     def state_at(self, t: int) -> ClusterState:
-        """The :class:`ClusterState` snapshot ``x(t)``: read-only views, not copies."""
+        """The :class:`ClusterState` snapshot ``x(t)``: read-only views, not copies.
+
+        It holds row *t* of the scenario's slot table.
+        """
         if not 0 <= t < self.horizon:
             raise IndexError(f"slot {t} outside horizon [0, {self.horizon})")
-        return ClusterState._from_trace(self.availability[t], self.prices[t])
+        table = self.__dict__.get("_environment")
+        if table is None:
+            table = SlotEnvironment(self.cluster, self.availability, self.prices)
+            object.__setattr__(self, "_environment", table)
+        return ClusterState._from_trace(self.availability[t], self.prices[t], table, t)
 
     def arrival_work(self) -> np.ndarray:
         """Total arriving work per slot (length ``T``)."""

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from repro.core.grefar import GreFarScheduler
+from repro.fairness import AlphaFairness
 from repro.model.action import Action
 from repro.model.cluster import Cluster
 from repro.model.datacenter import DataCenter
 from repro.model.job import Account, JobType
 from repro.model.server import ServerClass
 from repro.model.state import ClusterState
+from repro.obs.registry import stats_registry
 from repro.optimize import SlotServiceProblem, solve_lp, solve_qp
+from repro.resilient.supervisor import SupervisedSolver
 from repro.schedulers import AlwaysScheduler
 from repro.simulation.simulator import Simulator
 from repro.simulation.trace import Scenario
@@ -115,6 +118,36 @@ class TestSolvers:
         )
         h = solve_qp(problem)
         assert problem.memory_used(h)[0] <= 8.0 + 1e-5
+
+    def test_fairness_gradient_past_highs_infinity_still_solves(self):
+        # alpha = 2 fairness at a site with 5e-13 work capacity: the LP
+        # oracle's costs reach 1e20, which HiGHS reads as infinite, so
+        # solve_lp scales them down by a power of two.
+        cluster = Cluster(
+            server_classes=(ServerClass(name="s", speed=1.0, active_power=1.0),),
+            datacenters=(DataCenter(name="d", max_servers=[4], memory_capacity=3.0),),
+            job_types=(
+                JobType(name="a", demand=1.0, eligible_dcs=(0,), account=0, memory=1.0),
+                JobType(name="b", demand=2.0, eligible_dcs=(0,), account=1, memory=2.5),
+            ),
+            accounts=(Account(name="x", fair_share=0.5), Account(name="y", fair_share=0.5)),
+        )
+        queues = np.full((1, 2), 3.0)
+        problem = SlotServiceProblem(
+            cluster=cluster,
+            state=ClusterState([[5e-13]], [0.4]),
+            queue_weights=queues,
+            h_upper=queues + 1.0,
+            v=0.5,
+            beta=100.0,
+            fairness=AlphaFairness(alpha=2.0),
+        )
+        stats = stats_registry()
+        before = stats.counter("resilient.fallbacks")
+        outcome = SupervisedSolver().solve(problem, primary="qp", slot=0)
+        assert outcome.backend == "qp"
+        assert stats.counter("resilient.fallbacks") == before
+        assert problem.is_feasible(outcome.h)
 
 
 class TestSchedulers:

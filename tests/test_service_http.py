@@ -9,14 +9,22 @@ reply off the socket: which status, whether the body is the JSON
 
 from __future__ import annotations
 
+import http.client
 import json
 import socket
 import socketserver
+import sys
 import threading
 
 import pytest
 
-from repro.service import SchedulerService, ServiceConfig, ServiceHTTPServer
+from repro.service import (
+    SchedulerService,
+    ServiceClient,
+    ServiceClientError,
+    ServiceConfig,
+    ServiceHTTPServer,
+)
 
 SUBMIT = b'{"account": 0, "job_type": 0, "count": 2}'
 
@@ -281,3 +289,69 @@ def test_a_202_is_one_write(connect, monkeypatch):
     assert len(writes) == 1
     assert writes[0].startswith(b"HTTP/1.1 202 Accepted\r\n")
     assert writes[0].endswith(b"\r\n\r\n" + json.dumps(body).encode())
+
+
+# ----------------------------------------------------------------------
+# ServiceClient over one kept connection
+# ----------------------------------------------------------------------
+@pytest.fixture
+def client_sockets(monkeypatch):
+    """Count the sockets every ``http.client`` connection opens."""
+    opened = []
+    connect = http.client.HTTPConnection.connect
+
+    def spy(self):
+        opened.append(self)
+        return connect(self)
+
+    monkeypatch.setattr(http.client.HTTPConnection, "connect", spy)
+    return opened
+
+
+def test_client_calls_share_one_socket(gateway, client_sockets):
+    client = ServiceClient("http://%s:%d" % gateway)
+    for _ in range(95):
+        assert client.health()["status"] == "ok"
+        assert client.queues()["schema"] == "svc-v1"
+    for seq in range(1, 11):
+        assert client.submit(0, 0)["seq"] == seq
+    assert len(client_sockets) == 1
+    client.close()
+
+
+def test_client_reopens_after_a_refusal_that_closes(gateway, client_sockets):
+    client = ServiceClient("http://%s:%d" % gateway)
+    client.health()
+    with pytest.raises(ServiceClientError) as excinfo:
+        client.post("/v1/jobs", {"account": 0, "job_type": 0, "pad": "x" * 70_000})
+    assert (excinfo.value.status, excinfo.value.code) == (413, "body_too_large")
+    assert client.health()["status"] == "ok"
+    assert len(client_sockets) == 2
+    client.close()
+
+
+def test_client_threads_share_its_connection(gateway, client_sockets):
+    # More threads than cores and a short switch interval: a reply read
+    # by the wrong caller or a second socket would show.
+    client = ServiceClient("http://%s:%d" % gateway)
+    seqs = []
+
+    def work() -> None:
+        for _ in range(10):
+            seqs.append(client.submit(0, 0)["seq"])
+            assert client.health()["status"] == "ok"
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(seqs) == list(range(1, 61))
+    assert len(client_sockets) == 1
+    client.close()
