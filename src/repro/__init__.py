@@ -48,190 +48,128 @@ Quickstart::
     print(result.summary.as_dict())
 """
 
-from repro.core.bounds import TheoremConstants
-from repro.core.constraints import parallelism_service_bounds
-from repro.core.grefar import GreFarScheduler
-from repro.core.objective import CostModel, SlotCost
-from repro.core.slackness import SlacknessReport, check_slackness
-from repro.fairness import (
-    AlphaFairness,
-    FairnessFunction,
-    JainFairness,
-    MaxMinFairness,
-    QuadraticFairness,
-)
-from repro.model import (
-    Account,
-    Action,
-    Cluster,
-    ClusterState,
-    DataCenter,
-    DelayStats,
-    JobType,
-    LinearPricing,
-    PricingModel,
-    QueueNetwork,
-    ServerClass,
-    TieredPricing,
-)
-from repro.scenarios import (
-    PAPER_FAIR_SHARES,
-    PAPER_PRICE_MEANS,
-    paper_cluster,
-    paper_scenario,
-    small_cluster,
-    small_scenario,
-)
-from repro.core.admission import (
-    AccountQuotaAdmission,
-    AdmissionPolicy,
-    AdmitAll,
-    BacklogCapAdmission,
-)
-from repro.faults import (
-    FaultEvent,
-    FaultImpact,
-    FaultInjector,
-    FaultSchedule,
-    RandomFaultProcess,
-    RequeuePolicy,
-    ResilienceObserver,
-    ResilienceReport,
-)
-from repro.resilient import (
-    Checkpointer,
-    FlakyBackend,
-    SimulationKilled,
-    SolverIncident,
-    SupervisedSolver,
-    run_chaos_drill,
-    sanitize_state,
-    solve_service,
-)
-from repro.runner import (
-    CheckpointPolicy,
-    ResultCache,
-    RunResult,
-    RunSpec,
-    ScenarioSpec,
-    default_cache,
-    resume_from_checkpoint,
-    run_many,
-    run_spec,
-    set_checkpoint_policy,
-)
-from repro.service import (
-    SchedulerService,
-    ServiceClient,
-    ServiceConfig,
-)
-from repro.schedulers import (
-    AlwaysScheduler,
-    LookaheadPolicy,
-    LookaheadSolution,
-    PriceThresholdScheduler,
-    RandomRoutingScheduler,
-    RecedingHorizonScheduler,
-    RoundRobinScheduler,
-    Scheduler,
-    TroughFillingScheduler,
-)
-from repro.simulation import (
-    MetricsCollector,
-    Scenario,
-    SimulationResult,
-    SimulationSummary,
-    Simulator,
-    run_comparison,
-)
-from repro.workloads import (
-    AvailabilityModel,
-    CosmosWorkload,
-    PriceModel,
-)
+import importlib
+import sys
+from typing import Any, Callable, List, Mapping, Tuple
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Account",
-    "AccountQuotaAdmission",
-    "Action",
-    "AdmissionPolicy",
-    "AdmitAll",
-    "BacklogCapAdmission",
-    "AlphaFairness",
-    "AlwaysScheduler",
-    "AvailabilityModel",
-    "CheckpointPolicy",
-    "Checkpointer",
-    "Cluster",
-    "ClusterState",
-    "CosmosWorkload",
-    "CostModel",
-    "DataCenter",
-    "DelayStats",
-    "FairnessFunction",
-    "FaultEvent",
-    "FaultImpact",
-    "FaultInjector",
-    "FaultSchedule",
-    "FlakyBackend",
-    "GreFarScheduler",
-    "JainFairness",
-    "JobType",
-    "LinearPricing",
-    "LookaheadPolicy",
-    "LookaheadSolution",
-    "MaxMinFairness",
-    "MetricsCollector",
-    "PAPER_FAIR_SHARES",
-    "PAPER_PRICE_MEANS",
-    "PriceModel",
-    "PriceThresholdScheduler",
-    "PricingModel",
-    "QuadraticFairness",
-    "QueueNetwork",
-    "RandomFaultProcess",
-    "RandomRoutingScheduler",
-    "RecedingHorizonScheduler",
-    "RequeuePolicy",
-    "ResilienceObserver",
-    "ResilienceReport",
-    "ResultCache",
-    "RoundRobinScheduler",
-    "RunResult",
-    "RunSpec",
-    "Scenario",
-    "ScenarioSpec",
-    "Scheduler",
-    "SchedulerService",
-    "ServiceClient",
-    "ServiceConfig",
-    "ServerClass",
-    "SimulationKilled",
-    "SimulationResult",
-    "SimulationSummary",
-    "Simulator",
-    "SlacknessReport",
-    "SlotCost",
-    "SolverIncident",
-    "SupervisedSolver",
-    "TheoremConstants",
-    "TieredPricing",
-    "TroughFillingScheduler",
-    "check_slackness",
-    "default_cache",
-    "paper_cluster",
-    "parallelism_service_bounds",
-    "paper_scenario",
-    "resume_from_checkpoint",
-    "run_chaos_drill",
-    "run_comparison",
-    "run_many",
-    "run_spec",
-    "sanitize_state",
-    "set_checkpoint_policy",
-    "small_cluster",
-    "small_scenario",
-    "solve_service",
-]
+
+def _export_table(
+    package: str, table: Mapping[str, str]
+) -> Tuple[List[str], Callable[[str], Any], Callable[[], List[str]]]:
+    """``__all__``, ``__getattr__`` and ``__dir__`` for *package*'s *table*.
+
+    Every package ``__init__`` under ``repro`` is such a table, mapping
+    each exported name to the module that defines it.  Importing the
+    package loads none of those modules; the first access to a name
+    imports its defining module once and stores the value on the
+    package, so later accesses never reach ``__getattr__`` again.  A
+    name that equals its module's last component (``"fig2_v_sweep":
+    ".fig2_v_sweep"``) exports the submodule itself.  Code inside
+    ``repro`` imports from defining modules, never through these
+    tables, so type checkers see every type.
+    """
+
+    def __getattr__(name: str) -> Any:
+        try:
+            target = table[name]
+        except KeyError:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}") from None
+        module = importlib.import_module(target, package)
+        value = module if module.__name__.rpartition(".")[2] == name else getattr(module, name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    def __dir__() -> List[str]:
+        return sorted(set(vars(sys.modules[package])) | set(table))
+
+    return sorted(table), __getattr__, __dir__
+
+
+__all__, __getattr__, __dir__ = _export_table(
+    __name__,
+    {
+        "AccountQuotaAdmission": ".core.admission",
+        "AdmissionPolicy": ".core.admission",
+        "AdmitAll": ".core.admission",
+        "BacklogCapAdmission": ".core.admission",
+        "TheoremConstants": ".core.bounds",
+        "parallelism_service_bounds": ".core.constraints",
+        "GreFarScheduler": ".core.grefar",
+        "CostModel": ".core.objective",
+        "SlotCost": ".core.objective",
+        "SlacknessReport": ".core.slackness",
+        "check_slackness": ".core.slackness",
+        "AlphaFairness": ".fairness.alpha_fair",
+        "FairnessFunction": ".fairness.base",
+        "JainFairness": ".fairness.jain",
+        "MaxMinFairness": ".fairness.maxmin",
+        "QuadraticFairness": ".fairness.quadratic",
+        "FaultEvent": ".faults.events",
+        "FaultSchedule": ".faults.events",
+        "RandomFaultProcess": ".faults.events",
+        "FaultInjector": ".faults.injector",
+        "RequeuePolicy": ".faults.injector",
+        "FaultImpact": ".faults.resilience",
+        "ResilienceObserver": ".faults.resilience",
+        "ResilienceReport": ".faults.resilience",
+        "Action": ".model.action",
+        "Cluster": ".model.cluster",
+        "DataCenter": ".model.datacenter",
+        "Account": ".model.job",
+        "JobType": ".model.job",
+        "LinearPricing": ".model.pricing",
+        "PricingModel": ".model.pricing",
+        "TieredPricing": ".model.pricing",
+        "DelayStats": ".model.queues",
+        "QueueNetwork": ".model.queues",
+        "ServerClass": ".model.server",
+        "ClusterState": ".model.state",
+        "FlakyBackend": ".resilient.chaos",
+        "run_chaos_drill": ".resilient.chaos",
+        "Checkpointer": ".resilient.checkpoint",
+        "SimulationKilled": ".resilient.checkpoint",
+        "sanitize_state": ".resilient.guards",
+        "SolverIncident": ".resilient.supervisor",
+        "SupervisedSolver": ".resilient.supervisor",
+        "solve_service": ".resilient.supervisor",
+        "ResultCache": ".runner.cache",
+        "default_cache": ".runner.cache",
+        "CheckpointPolicy": ".runner.engine",
+        "resume_from_checkpoint": ".runner.engine",
+        "run_many": ".runner.engine",
+        "run_spec": ".runner.engine",
+        "set_checkpoint_policy": ".runner.engine",
+        "RunResult": ".runner.result",
+        "RunSpec": ".runner.spec",
+        "ScenarioSpec": ".runner.spec",
+        "PAPER_FAIR_SHARES": ".scenarios",
+        "PAPER_PRICE_MEANS": ".scenarios",
+        "paper_cluster": ".scenarios",
+        "paper_scenario": ".scenarios",
+        "small_cluster": ".scenarios",
+        "small_scenario": ".scenarios",
+        "AlwaysScheduler": ".schedulers.always",
+        "Scheduler": ".schedulers.base",
+        "LookaheadPolicy": ".schedulers.lookahead",
+        "LookaheadSolution": ".schedulers.lookahead",
+        "PriceThresholdScheduler": ".schedulers.price_threshold",
+        "RandomRoutingScheduler": ".schedulers.random_dc",
+        "RecedingHorizonScheduler": ".schedulers.receding_horizon",
+        "RoundRobinScheduler": ".schedulers.round_robin",
+        "TroughFillingScheduler": ".schedulers.trough_filling",
+        "SchedulerService": ".service.app",
+        "ServiceClient": ".service.client",
+        "ServiceConfig": ".service.state",
+        "MetricsCollector": ".simulation.metrics",
+        "SimulationSummary": ".simulation.metrics",
+        "SimulationResult": ".simulation.simulator",
+        "Simulator": ".simulation.simulator",
+        "run_comparison": ".simulation.simulator",
+        "Scenario": ".simulation.trace",
+        "AvailabilityModel": ".workloads.availability",
+        "CosmosWorkload": ".workloads.cosmos",
+        "PriceModel": ".workloads.prices",
+    },
+)

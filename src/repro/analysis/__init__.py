@@ -1,21 +1,20 @@
 """Analysis helpers: delay estimation, tradeoff sweeps, table rendering."""
 
-from repro.analysis.decomposition import SavingDecomposition, decompose_energy_saving
-from repro.analysis.delay import delay_percentile_bound, littles_law_delay
-from repro.analysis.stats import PairedComparison, bootstrap_mean_ci, paired_comparison
-from repro.analysis.tables import format_table
-from repro.analysis.tradeoff import TradeoffPoint, sweep_beta, sweep_v
+from repro import _export_table
 
-__all__ = [
-    "PairedComparison",
-    "SavingDecomposition",
-    "TradeoffPoint",
-    "bootstrap_mean_ci",
-    "decompose_energy_saving",
-    "delay_percentile_bound",
-    "format_table",
-    "littles_law_delay",
-    "paired_comparison",
-    "sweep_beta",
-    "sweep_v",
-]
+__all__, __getattr__, __dir__ = _export_table(
+    __name__,
+    {
+        "SavingDecomposition": ".decomposition",
+        "decompose_energy_saving": ".decomposition",
+        "delay_percentile_bound": ".delay",
+        "littles_law_delay": ".delay",
+        "PairedComparison": ".stats",
+        "bootstrap_mean_ci": ".stats",
+        "paired_comparison": ".stats",
+        "format_table": ".tables",
+        "TradeoffPoint": ".tradeoff",
+        "sweep_beta": ".tradeoff",
+        "sweep_v": ".tradeoff",
+    },
+)

@@ -13,7 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.runner import RunSpec, default_cache, run_many
+from repro.runner.cache import default_cache
+from repro.runner.engine import run_many
+from repro.runner.spec import RunSpec
 from repro.simulation.trace import Scenario
 
 __all__ = ["TradeoffPoint", "sweep_points", "sweep_v", "sweep_beta"]

@@ -38,27 +38,29 @@ import sys
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.analysis import format_table
+from repro.analysis.tables import format_table
 from repro.analysis.tradeoff import sweep_v
 from repro.core.bounds import TheoremConstants
 from repro.core.grefar import GreFarScheduler
 from repro.core.slackness import check_slackness
-from repro.faults import FaultEvent, FaultInjector, FaultSchedule, ResilienceObserver
-from repro.faults.events import FAULT_KINDS
-from repro.resilient import SimulationKilled, run_chaos_drill
-from repro.runner import (
+from repro.faults.events import FAULT_KINDS, FaultEvent, FaultSchedule
+from repro.faults.injector import FaultInjector
+from repro.faults.resilience import ResilienceObserver
+from repro.resilient.chaos import run_chaos_drill
+from repro.resilient.checkpoint import SimulationKilled
+from repro.runner.cache import ResultCache, default_cache
+from repro.runner.engine import (
     CheckpointPolicy,
-    ResultCache,
-    RunSpec,
-    ScenarioSpec,
-    default_cache,
     reset_stats,
     run_many,
     runner_stats,
     set_checkpoint_policy,
 )
+from repro.runner.spec import RunSpec, ScenarioSpec
 from repro.scenarios import paper_scenario
-from repro.schedulers import AlwaysScheduler, RandomRoutingScheduler, scheduler_names
+from repro.schedulers.always import AlwaysScheduler
+from repro.schedulers.random_dc import RandomRoutingScheduler
+from repro.schedulers.registry import scheduler_names
 from repro.simulation.simulator import Simulator
 
 __all__ = ["main", "build_parser", "ExperimentInfo", "experiment_info"]
@@ -166,7 +168,7 @@ _RUN_PARAM_FLAGS = ("v", "beta", "threshold", "seed")
 
 
 def _scheduler_kwargs_from_args(name: str, args) -> dict:
-    from repro.schedulers import scheduler_entry
+    from repro.schedulers.registry import scheduler_entry
 
     entry = scheduler_entry(name)
     return {
@@ -478,7 +480,7 @@ def _cmd_profile(args) -> int:
     """Profile one run with telemetry on; print its timer table."""
     from repro.obs.profile import profile_run, render_hot_path_table
     from repro.scenarios import small_scenario
-    from repro.schedulers import build_scheduler
+    from repro.schedulers.registry import build_scheduler
 
     if args.scenario == "small":
         scenario = small_scenario(horizon=args.horizon, seed=args.seed)
@@ -515,8 +517,9 @@ def _cmd_serve(args) -> int:
     submission; a checkpoint it cannot use (an older schema, a corrupt
     file) is refused with an error rather than restarted at slot 0.
     """
-    from repro.resilient import CheckpointError
-    from repro.service import ServiceConfig, serve
+    from repro.resilient.checkpoint import CheckpointError
+    from repro.service.app import serve
+    from repro.service.state import ServiceConfig
 
     try:
         config = ServiceConfig(

@@ -1,17 +1,16 @@
 """Core: the GreFar algorithm, its objective, and Theorem 1 machinery."""
 
-from repro.core.bounds import TheoremConstants
-from repro.core.constraints import parallelism_service_bounds
-from repro.core.grefar import GreFarScheduler
-from repro.core.objective import CostModel, SlotCost
-from repro.core.slackness import SlacknessReport, check_slackness
+from repro import _export_table
 
-__all__ = [
-    "CostModel",
-    "GreFarScheduler",
-    "SlacknessReport",
-    "SlotCost",
-    "TheoremConstants",
-    "check_slackness",
-    "parallelism_service_bounds",
-]
+__all__, __getattr__, __dir__ = _export_table(
+    __name__,
+    {
+        "TheoremConstants": ".bounds",
+        "parallelism_service_bounds": ".constraints",
+        "GreFarScheduler": ".grefar",
+        "CostModel": ".objective",
+        "SlotCost": ".objective",
+        "SlacknessReport": ".slackness",
+        "check_slackness": ".slackness",
+    },
+)

@@ -29,6 +29,8 @@ holds for arbitrary (even adversarial) sequences.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from repro._validation import require_non_negative
@@ -98,6 +100,10 @@ class GreFarScheduler(Scheduler):
         super().reset()
         self.supervisor.clear_incidents()
 
+    def __getstate__(self) -> dict:
+        # The route constant is rebuilt on first use; pickles leave it out.
+        return {name: value for name, value in self.__dict__.items() if name != "_transfer"}
+
     # ------------------------------------------------------------------
     def decide(self, t: int, state: ClusterState, queues: QueueNetwork) -> Action:
         """Minimize the drift-plus-penalty expression (14) for slot *t*."""
@@ -132,14 +138,18 @@ class GreFarScheduler(Scheduler):
         ``whole_jobs(Q_j)`` is spent.
         """
         cluster = self.cluster
-        transfer = (self.v * cluster.ingress_costs)[:, np.newaxis] * cluster.demands
-        coefficient = dc - front + transfer
+        coefficient = dc - front + self._transfer
         negative = routable_sites(cluster, capacities) & (coefficient < 0)
         if self.physical:
             return route_greedily(cluster, front, coefficient, negative)
         route = np.where(negative, cluster.max_route_matrix(), 0.0)
         route.flags.writeable = False
         return route
+
+    @cached_property
+    def _transfer(self) -> np.ndarray:
+        """Transfer cost ``V * c_i * d_j`` of routing one type-j job to site i."""
+        return (self.v * self.cluster.ingress_costs)[:, np.newaxis] * self.cluster.demands
 
     # ------------------------------------------------------------------
     # Service: the convex slot subproblem.

@@ -17,7 +17,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.analysis.tables import format_table
-from repro.runner import RunSpec, ScenarioSpec, default_cache, run_many
+from repro.runner.cache import default_cache
+from repro.runner.engine import run_many
+from repro.runner.spec import RunSpec, ScenarioSpec
 from repro.simulation.trace import Scenario
 
 __all__ = ["DelayDistributionResult", "run", "main"]

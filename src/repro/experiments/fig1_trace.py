@@ -19,7 +19,9 @@ import numpy as np
 
 from repro._validation import ValueEquality
 from repro.analysis.tables import format_table
-from repro.runner import RunSpec, ScenarioSpec, default_cache, run_many
+from repro.runner.cache import default_cache
+from repro.runner.engine import run_many
+from repro.runner.spec import RunSpec, ScenarioSpec
 
 __all__ = ["Fig1Result", "run", "main"]
 

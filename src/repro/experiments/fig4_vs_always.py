@@ -23,7 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.tables import format_table
-from repro.runner import RunSpec, ScenarioSpec, default_cache, run_many
+from repro.runner.cache import default_cache
+from repro.runner.engine import run_many
+from repro.runner.spec import RunSpec, ScenarioSpec
 from repro.simulation.trace import Scenario
 
 __all__ = ["Fig4Result", "run", "main"]

@@ -15,7 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.tables import format_table
-from repro.runner import RunSpec, ScenarioSpec, default_cache, run_many
+from repro.runner.cache import default_cache
+from repro.runner.engine import run_many
+from repro.runner.spec import RunSpec, ScenarioSpec
 from repro.scenarios import paper_cluster
 
 __all__ = ["Table1Result", "run", "main"]

@@ -28,7 +28,9 @@ import numpy as np
 from repro.analysis.tables import format_table
 from repro.core.bounds import TheoremConstants
 from repro.core.slackness import check_slackness
-from repro.runner import RunSpec, default_cache, run_many
+from repro.runner.cache import default_cache
+from repro.runner.engine import run_many
+from repro.runner.spec import RunSpec
 from repro.scenarios import paper_scenario
 from repro.schedulers.lookahead import LookaheadPolicy
 from repro.simulation.trace import Scenario

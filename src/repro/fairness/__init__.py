@@ -1,15 +1,14 @@
 """Fairness functions (eq. 3 and the alternates allowed by footnote 5)."""
 
-from repro.fairness.alpha_fair import AlphaFairness
-from repro.fairness.base import FairnessFunction
-from repro.fairness.jain import JainFairness
-from repro.fairness.maxmin import MaxMinFairness
-from repro.fairness.quadratic import QuadraticFairness
+from repro import _export_table
 
-__all__ = [
-    "AlphaFairness",
-    "FairnessFunction",
-    "JainFairness",
-    "MaxMinFairness",
-    "QuadraticFairness",
-]
+__all__, __getattr__, __dir__ = _export_table(
+    __name__,
+    {
+        "AlphaFairness": ".alpha_fair",
+        "FairnessFunction": ".base",
+        "JainFairness": ".jain",
+        "MaxMinFairness": ".maxmin",
+        "QuadraticFairness": ".quadratic",
+    },
+)

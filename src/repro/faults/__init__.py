@@ -14,23 +14,19 @@ See ``docs/RESILIENCE.md`` for the fault model and degraded-mode
 semantics.
 """
 
-from repro.faults.events import (
-    FAULT_KINDS,
-    FaultEvent,
-    FaultSchedule,
-    RandomFaultProcess,
-)
-from repro.faults.injector import FaultInjector, RequeuePolicy
-from repro.faults.resilience import FaultImpact, ResilienceObserver, ResilienceReport
+from repro import _export_table
 
-__all__ = [
-    "FAULT_KINDS",
-    "FaultEvent",
-    "FaultImpact",
-    "FaultInjector",
-    "FaultSchedule",
-    "RandomFaultProcess",
-    "RequeuePolicy",
-    "ResilienceObserver",
-    "ResilienceReport",
-]
+__all__, __getattr__, __dir__ = _export_table(
+    __name__,
+    {
+        "FAULT_KINDS": ".events",
+        "FaultEvent": ".events",
+        "FaultSchedule": ".events",
+        "RandomFaultProcess": ".events",
+        "FaultInjector": ".injector",
+        "RequeuePolicy": ".injector",
+        "FaultImpact": ".resilience",
+        "ResilienceObserver": ".resilience",
+        "ResilienceReport": ".resilience",
+    },
+)

@@ -7,26 +7,22 @@ the queueing substrate with the exact dynamics of eqs. (12)-(13)
 (:class:`QueueNetwork`).
 """
 
-from repro.model.action import Action
-from repro.model.cluster import Cluster
-from repro.model.datacenter import DataCenter
-from repro.model.job import Account, JobType
-from repro.model.pricing import LinearPricing, PricingModel, TieredPricing
-from repro.model.queues import DelayStats, QueueNetwork
-from repro.model.server import ServerClass
-from repro.model.state import ClusterState
+from repro import _export_table
 
-__all__ = [
-    "Account",
-    "Action",
-    "Cluster",
-    "ClusterState",
-    "DataCenter",
-    "DelayStats",
-    "JobType",
-    "LinearPricing",
-    "PricingModel",
-    "QueueNetwork",
-    "ServerClass",
-    "TieredPricing",
-]
+__all__, __getattr__, __dir__ = _export_table(
+    __name__,
+    {
+        "Action": ".action",
+        "Cluster": ".cluster",
+        "DataCenter": ".datacenter",
+        "Account": ".job",
+        "JobType": ".job",
+        "LinearPricing": ".pricing",
+        "PricingModel": ".pricing",
+        "TieredPricing": ".pricing",
+        "DelayStats": ".queues",
+        "QueueNetwork": ".queues",
+        "ServerClass": ".server",
+        "ClusterState": ".state",
+    },
+)

@@ -18,35 +18,28 @@ Per-layer timing is measured from outside by ``perfbench/``, whose
 tracer wraps each layer and reports true self-times; the committed
 ``BENCH_<date>.json`` it records is the performance reference.
 
-``profile`` imports the simulation stack, so it is deliberately *not*
-imported here: the instrumented modules (``core/grefar.py``,
-``simulation/simulator.py``, ...) can import ``repro.obs`` without a
-cycle.
+``profile`` imports the simulation stack, so it is left out of the
+export table: ``from repro.obs import *`` stays free of the modules it
+instruments.
 
 See ``docs/OBSERVABILITY.md`` for the profiling workflow.
 """
 
-from repro.obs.events import InMemorySink, JsonlSink, SlotTraceEvent, read_trace_jsonl
-from repro.obs.registry import (
-    Registry,
-    TimerStat,
-    disable_metrics,
-    enable_metrics,
-    metrics_enabled,
-    metrics_registry,
-    stats_registry,
-)
+from repro import _export_table
 
-__all__ = [
-    "InMemorySink",
-    "JsonlSink",
-    "Registry",
-    "SlotTraceEvent",
-    "TimerStat",
-    "disable_metrics",
-    "enable_metrics",
-    "metrics_enabled",
-    "metrics_registry",
-    "read_trace_jsonl",
-    "stats_registry",
-]
+__all__, __getattr__, __dir__ = _export_table(
+    __name__,
+    {
+        "InMemorySink": ".events",
+        "JsonlSink": ".events",
+        "SlotTraceEvent": ".events",
+        "read_trace_jsonl": ".events",
+        "Registry": ".registry",
+        "TimerStat": ".registry",
+        "disable_metrics": ".registry",
+        "enable_metrics": ".registry",
+        "metrics_enabled": ".registry",
+        "metrics_registry": ".registry",
+        "stats_registry": ".registry",
+    },
+)

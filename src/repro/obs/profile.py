@@ -119,7 +119,7 @@ def render_hot_path_table(report: ProfileReport) -> str:
     partition; ``perfbench/run.py --trace 1`` reports true per-layer
     self-times.
     """
-    from repro.analysis import format_table
+    from repro.analysis.tables import format_table
 
     wall = report.wall_seconds
     rows = []

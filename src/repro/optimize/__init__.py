@@ -17,46 +17,15 @@ carrying the slot context, so the supervision layer
 chain instead of losing the run.
 """
 
+from repro import _export_table
 
-class SolverFailure(RuntimeError):
-    """A slot backend could not return a usable service matrix.
-
-    Parameters
-    ----------
-    backend:
-        The backend name (``"lp"``, ``"qp"``, ...).
-    message:
-        What went wrong (solver status message, "non-finite solution",
-        ...).
-    problem:
-        The :class:`SlotServiceProblem` instance, when available; its
-        ``v``/``beta`` and shapes are summarized into :attr:`context`.
-    context:
-        Extra key/value context merged into :attr:`context`.
-    """
-
-    def __init__(self, backend: str, message: str, problem=None, **context):
-        self.backend = backend
-        self.context = dict(context)
-        if problem is not None:
-            self.context.setdefault("v", float(problem.v))
-            self.context.setdefault("beta", float(problem.beta))
-            self.context.setdefault("shape", tuple(problem.h_upper.shape))
-        super().__init__(f"{backend} backend failed: {message}")
-
-
-# SolverFailure must be defined before the backend imports below — the
-# backend modules import it from this (then partially initialized)
-# package.
-from repro.optimize.greedy import solve_greedy  # noqa: E402
-from repro.optimize.lp import solve_lp  # noqa: E402
-from repro.optimize.qp import solve_qp  # noqa: E402
-from repro.optimize.slot_problem import SlotServiceProblem  # noqa: E402
-
-__all__ = [
-    "SlotServiceProblem",
-    "SolverFailure",
-    "solve_greedy",
-    "solve_lp",
-    "solve_qp",
-]
+__all__, __getattr__, __dir__ = _export_table(
+    __name__,
+    {
+        "solve_greedy": ".greedy",
+        "solve_lp": ".lp",
+        "solve_qp": ".qp",
+        "SlotServiceProblem": ".slot_problem",
+        "SolverFailure": ".slot_problem",
+    },
+)

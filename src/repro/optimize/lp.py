@@ -28,8 +28,7 @@ import math
 
 import numpy as np
 
-from repro.optimize import SolverFailure
-from repro.optimize.slot_problem import SlotServiceProblem
+from repro.optimize.slot_problem import SlotServiceProblem, SolverFailure
 
 __all__ = ["highs", "solve_lp"]
 

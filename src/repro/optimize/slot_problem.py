@@ -36,7 +36,7 @@ from repro.model.environment import supply_matrix
 from repro.model.pricing import LinearPricing, PricingModel
 from repro.model.state import ClusterState
 
-__all__ = ["BETA_ZERO_TOL", "SlotServiceProblem", "busy_counts", "supply_matrix"]
+__all__ = ["BETA_ZERO_TOL", "SlotServiceProblem", "SolverFailure", "busy_counts", "supply_matrix"]
 
 _EPS = 1e-9
 #: Work below this is treated as none by the cheapest-first walk.
@@ -45,6 +45,33 @@ _WORK_EPS = 1e-12
 #: Fairness pulls at or below this are indistinguishable from beta = 0 in
 #: the float objective; solvers treat them as zero (see ``has_fairness``).
 BETA_ZERO_TOL = 1e-12
+
+
+class SolverFailure(RuntimeError):
+    """A slot backend could not return a usable service matrix.
+
+    Parameters
+    ----------
+    backend:
+        The backend name (``"lp"``, ``"qp"``, ...).
+    message:
+        What went wrong (solver status message, "non-finite solution",
+        ...).
+    problem:
+        The :class:`SlotServiceProblem` instance, when available; its
+        ``v``/``beta`` and shapes are summarized into :attr:`context`.
+    context:
+        Extra key/value context merged into :attr:`context`.
+    """
+
+    def __init__(self, backend: str, message: str, problem=None, **context):
+        self.backend = backend
+        self.context = dict(context)
+        if problem is not None:
+            self.context.setdefault("v", float(problem.v))
+            self.context.setdefault("beta", float(problem.beta))
+            self.context.setdefault("shape", tuple(problem.h_upper.shape))
+        super().__init__(f"{backend} backend failed: {message}")
 
 
 @dataclass(eq=False)

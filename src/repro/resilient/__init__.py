@@ -26,66 +26,38 @@ The chaos drill (``repro chaos``, :func:`run_chaos_drill`) proves the
 first guarantee end to end with deterministic fault injection.
 """
 
-from repro.resilient.chaos import ChaosReport, FlakyBackend, run_chaos_drill
-from repro.resilient.checkpoint import (
-    CHECKPOINT_SCHEMA,
-    CheckpointError,
-    Checkpointer,
-    ColumnHistory,
-    DEFAULT_CHECKPOINT_DIR,
-    SimulationKilled,
-    checkpoint_path,
-    journal_path,
-    load_checkpoint,
-    save_checkpoint,
-)
-from repro.resilient.guards import (
-    GUARD_POLICIES,
-    GuardIncident,
-    GuardViolation,
-    sanitize_state,
-    sanitize_trace_arrays,
-)
-from repro.resilient.supervisor import (
-    BACKENDS,
-    DEFAULT_CHAINS,
-    MAX_INCIDENTS,
-    SolveOutcome,
-    SolverIncident,
-    SupervisedSolver,
-    chain_for,
-    default_supervisor,
-    solve_service,
-    solve_zero,
-)
+from repro import _export_table
 
-__all__ = [
-    "BACKENDS",
-    "CHECKPOINT_SCHEMA",
-    "ChaosReport",
-    "CheckpointError",
-    "Checkpointer",
-    "ColumnHistory",
-    "DEFAULT_CHAINS",
-    "DEFAULT_CHECKPOINT_DIR",
-    "FlakyBackend",
-    "GUARD_POLICIES",
-    "GuardIncident",
-    "GuardViolation",
-    "MAX_INCIDENTS",
-    "SimulationKilled",
-    "SolveOutcome",
-    "SolverIncident",
-    "SupervisedSolver",
-    "chain_for",
-    "checkpoint_path",
-    "default_supervisor",
-    "journal_path",
-    "load_checkpoint",
-    "run_chaos_drill",
-    "sanitize_state",
-    "sanitize_trace_arrays",
-    "save_checkpoint",
-    "solve_service",
-    "solve_zero",
-]
+__all__, __getattr__, __dir__ = _export_table(
+    __name__,
+    {
+        "ChaosReport": ".chaos",
+        "FlakyBackend": ".chaos",
+        "run_chaos_drill": ".chaos",
+        "CHECKPOINT_SCHEMA": ".checkpoint",
+        "CheckpointError": ".checkpoint",
+        "Checkpointer": ".checkpoint",
+        "ColumnHistory": ".checkpoint",
+        "DEFAULT_CHECKPOINT_DIR": ".checkpoint",
+        "SimulationKilled": ".checkpoint",
+        "checkpoint_path": ".checkpoint",
+        "journal_path": ".checkpoint",
+        "load_checkpoint": ".checkpoint",
+        "save_checkpoint": ".checkpoint",
+        "GUARD_POLICIES": ".guards",
+        "GuardIncident": ".guards",
+        "GuardViolation": ".guards",
+        "sanitize_state": ".guards",
+        "sanitize_trace_arrays": ".guards",
+        "BACKENDS": ".supervisor",
+        "DEFAULT_CHAINS": ".supervisor",
+        "MAX_INCIDENTS": ".supervisor",
+        "SolveOutcome": ".supervisor",
+        "SolverIncident": ".supervisor",
+        "SupervisedSolver": ".supervisor",
+        "chain_for": ".supervisor",
+        "default_supervisor": ".supervisor",
+        "solve_service": ".supervisor",
+        "solve_zero": ".supervisor",
+    },
+)

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro._validation import require_in_range, require_integer
 from repro.obs.registry import stats_registry
-from repro.optimize import SolverFailure
+from repro.optimize.slot_problem import SolverFailure
 from repro.resilient.supervisor import (
     SupervisedSolver,
     _entry_callable,

@@ -41,8 +41,10 @@ import numpy as np
 
 from repro._contracts import ContractViolation, contracts_enabled
 from repro.obs.registry import metrics_registry, stats_registry
-from repro.optimize import SolverFailure, solve_greedy, solve_lp, solve_qp
-from repro.optimize.slot_problem import SlotServiceProblem
+from repro.optimize.greedy import solve_greedy
+from repro.optimize.lp import solve_lp
+from repro.optimize.qp import solve_qp
+from repro.optimize.slot_problem import SlotServiceProblem, SolverFailure
 
 __all__ = [
     "BACKENDS",

@@ -15,54 +15,32 @@ determinism guarantees; the staticcheck rule GF006 keeps experiment
 modules on this path.
 """
 
-from repro.runner.cache import (
-    DEFAULT_CACHE_DIR,
-    SCHEMA_TAG,
-    ResultCache,
-    cache_key,
-    default_cache,
-    scenario_fingerprint,
-)
-from repro.runner.collect import (
-    collect_value,
-    scenario_collector_names,
-    simulation_collector_names,
-)
-from repro.runner.engine import (
-    CheckpointPolicy,
-    RunnerStats,
-    checkpoint_policy,
-    reset_stats,
-    resume_from_checkpoint,
-    run_many,
-    run_spec,
-    runner_stats,
-    set_checkpoint_policy,
-)
-from repro.runner.result import RunResult
-from repro.runner.spec import SCENARIO_KINDS, RunSpec, ScenarioSpec
+from repro import _export_table
 
-__all__ = [
-    "DEFAULT_CACHE_DIR",
-    "SCENARIO_KINDS",
-    "SCHEMA_TAG",
-    "CheckpointPolicy",
-    "ResultCache",
-    "RunResult",
-    "RunSpec",
-    "RunnerStats",
-    "ScenarioSpec",
-    "cache_key",
-    "checkpoint_policy",
-    "collect_value",
-    "default_cache",
-    "reset_stats",
-    "resume_from_checkpoint",
-    "run_many",
-    "set_checkpoint_policy",
-    "run_spec",
-    "runner_stats",
-    "scenario_collector_names",
-    "scenario_fingerprint",
-    "simulation_collector_names",
-]
+__all__, __getattr__, __dir__ = _export_table(
+    __name__,
+    {
+        "DEFAULT_CACHE_DIR": ".cache",
+        "ResultCache": ".cache",
+        "SCHEMA_TAG": ".cache",
+        "cache_key": ".cache",
+        "default_cache": ".cache",
+        "scenario_fingerprint": ".cache",
+        "collect_value": ".collect",
+        "scenario_collector_names": ".collect",
+        "simulation_collector_names": ".collect",
+        "CheckpointPolicy": ".engine",
+        "RunnerStats": ".engine",
+        "checkpoint_policy": ".engine",
+        "reset_stats": ".engine",
+        "resume_from_checkpoint": ".engine",
+        "run_many": ".engine",
+        "run_spec": ".engine",
+        "runner_stats": ".engine",
+        "set_checkpoint_policy": ".engine",
+        "RunResult": ".result",
+        "RunSpec": ".spec",
+        "SCENARIO_KINDS": ".spec",
+        "ScenarioSpec": ".spec",
+    },
+)

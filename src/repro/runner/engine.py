@@ -27,8 +27,6 @@ Guarantees:
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -180,7 +178,7 @@ def _execute_task(task: tuple) -> RunResult:
         from repro.simulation.simulator import Simulator
 
         if scheduler is None:
-            from repro.schedulers import build_scheduler
+            from repro.schedulers.registry import build_scheduler
 
             scheduler = build_scheduler(
                 spec.scheduler, scenario.cluster, **dict(spec.scheduler_kwargs)
@@ -313,6 +311,8 @@ def run_many(
         if jobs == 1 or len(pending) == 1:
             fresh = [_execute_task(task) for task in _share_scenarios(pending)]
         else:
+            from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
             workers = min(jobs, len(pending))
             fresh = [None] * len(pending)
             with ProcessPoolExecutor(max_workers=workers) as pool:

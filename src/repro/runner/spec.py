@@ -21,11 +21,13 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Mapping, Tuple
 
 from repro._validation import require_integer, require_non_negative
-from repro.faults.events import FaultSchedule
 from repro.runner.collect import validate_collect
+
+if TYPE_CHECKING:  # a fault schedule is only ever handed in, never built here
+    from repro.faults.events import FaultSchedule
 
 __all__ = ["SCENARIO_KINDS", "RunSpec", "ScenarioSpec", "canonical_json", "spec_digest"]
 
@@ -171,7 +173,7 @@ class RunSpec:
         )
         if self.scheduler is not None:
             # Fail at spec construction, not inside a worker process.
-            from repro.schedulers import scheduler_entry
+            from repro.schedulers.registry import scheduler_entry
 
             entry = scheduler_entry(self.scheduler)
             unknown = sorted(

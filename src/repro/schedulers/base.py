@@ -15,6 +15,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
+from repro.core.constraints import parallelism_service_bounds
 from repro.model.action import Action
 from repro.model.cluster import Cluster
 from repro.model.queues import QueueNetwork, whole_jobs
@@ -37,8 +38,6 @@ def service_upper_bounds(
     running physically), and the Section III-B parallelism bounds.
     Shared by GreFar and every eager baseline.
     """
-    from repro.core.constraints import parallelism_service_bounds
-
     bounds = cluster.max_service_matrix()
     if physical:
         bounds = np.minimum(bounds, dc_queue_lengths)

@@ -30,49 +30,33 @@ Two properties tie the live path to the offline golden-trace regime
    submission intact.
 """
 
-from repro.service.app import SchedulerService, ServiceHTTPServer, serve
-from repro.service.client import ServiceClient, ServiceClientError
-from repro.service.ingest import (
-    IntakeBuffer,
-    Ingestor,
-    SubmissionLog,
-    SubmissionRecord,
-)
-from repro.service.ratelimit import AccountRateLimiter, TokenBucket
-from repro.service.state import ServiceConfig, ServiceState
-from repro.service.ticker import CapacityExhausted, SlotTicker, tick_once
-from repro.service.wire import (
-    SERVICE_SCHEMA,
-    SubmissionRequest,
-    WireError,
-    error_body,
-    ok_body,
-    parse_json_body,
-    parse_submission,
-)
+from repro import _export_table
 
-__all__ = [
-    "SERVICE_SCHEMA",
-    "AccountRateLimiter",
-    "CapacityExhausted",
-    "IntakeBuffer",
-    "Ingestor",
-    "SchedulerService",
-    "ServiceClient",
-    "ServiceClientError",
-    "ServiceConfig",
-    "ServiceHTTPServer",
-    "ServiceState",
-    "SlotTicker",
-    "SubmissionLog",
-    "SubmissionRecord",
-    "SubmissionRequest",
-    "TokenBucket",
-    "WireError",
-    "error_body",
-    "ok_body",
-    "parse_json_body",
-    "parse_submission",
-    "serve",
-    "tick_once",
-]
+__all__, __getattr__, __dir__ = _export_table(
+    __name__,
+    {
+        "SchedulerService": ".app",
+        "ServiceHTTPServer": ".app",
+        "serve": ".app",
+        "ServiceClient": ".client",
+        "ServiceClientError": ".client",
+        "Ingestor": ".ingest",
+        "IntakeBuffer": ".ingest",
+        "SubmissionLog": ".ingest",
+        "SubmissionRecord": ".ingest",
+        "AccountRateLimiter": ".ratelimit",
+        "TokenBucket": ".ratelimit",
+        "ServiceConfig": ".state",
+        "ServiceState": ".state",
+        "CapacityExhausted": ".ticker",
+        "SlotTicker": ".ticker",
+        "tick_once": ".ticker",
+        "SERVICE_SCHEMA": ".wire",
+        "SubmissionRequest": ".wire",
+        "WireError": ".wire",
+        "error_body": ".wire",
+        "ok_body": ".wire",
+        "parse_json_body": ".wire",
+        "parse_submission": ".wire",
+    },
+)

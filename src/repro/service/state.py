@@ -34,7 +34,7 @@ from repro._validation import require_integer, require_positive
 from repro.core.objective import CostModel
 from repro.resilient.checkpoint import Checkpointer, ColumnHistory
 from repro.runner.spec import ScenarioSpec, _freeze_kwargs, spec_digest
-from repro.schedulers import build_scheduler
+from repro.schedulers.registry import build_scheduler
 from repro.simulation.simulator import Simulator
 from repro.simulation.trace import Scenario
 

@@ -1,17 +1,17 @@
 """Time-slotted simulation engine, scenarios and metric collection."""
 
-from repro.simulation.metrics import MetricsCollector, SimulationSummary
-from repro.simulation.observers import PeakTracker, SnapshotRecorder
-from repro.simulation.simulator import SimulationResult, Simulator, run_comparison
-from repro.simulation.trace import Scenario
+from repro import _export_table
 
-__all__ = [
-    "MetricsCollector",
-    "PeakTracker",
-    "Scenario",
-    "SimulationResult",
-    "SimulationSummary",
-    "Simulator",
-    "SnapshotRecorder",
-    "run_comparison",
-]
+__all__, __getattr__, __dir__ = _export_table(
+    __name__,
+    {
+        "MetricsCollector": ".metrics",
+        "SimulationSummary": ".metrics",
+        "PeakTracker": ".observers",
+        "SnapshotRecorder": ".observers",
+        "SimulationResult": ".simulator",
+        "Simulator": ".simulator",
+        "run_comparison": ".simulator",
+        "Scenario": ".trace",
+    },
+)

@@ -320,7 +320,8 @@ def run_comparison(
     value is a :class:`repro.runner.RunResult` — use ``.summary``.
     """
     # Imported here: repro.runner sits above the simulation layer.
-    from repro.runner import RunSpec, run_many
+    from repro.runner.engine import run_many
+    from repro.runner.spec import RunSpec
 
     schedulers = list(schedulers)
     specs = [

@@ -52,7 +52,16 @@ subcommand ``repro lint``, or programmatically through
 rationale and the companion runtime layer :mod:`repro._contracts`.
 """
 
-from repro.tools.staticcheck.engine import Finding, check_file, check_paths
-from repro.tools.staticcheck.rules import RULES, Rule, rule_ids
+from repro import _export_table
 
-__all__ = ["Finding", "Rule", "RULES", "check_file", "check_paths", "rule_ids"]
+__all__, __getattr__, __dir__ = _export_table(
+    __name__,
+    {
+        "RULES": ".engine",
+        "Finding": ".engine",
+        "check_file": ".engine",
+        "check_paths": ".engine",
+        "rule_ids": ".engine",
+        "Rule": ".rules",
+    },
+)

@@ -14,9 +14,55 @@ from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Sequence, Set
 
 from repro.tools.staticcheck.project import build_project
-from repro.tools.staticcheck.rules import RULE_REGISTRY, RULES, ProjectRule, Rule
+from repro.tools.staticcheck.concurrency import CONCURRENCY_RULES
+from repro.tools.staticcheck.rules import (
+    DeterminismRule,
+    FloatEqualityRule,
+    PerfClockRule,
+    ProcessSpawnRule,
+    ProjectRule,
+    QueueHygieneRule,
+    Rule,
+    RunnerRoutingRule,
+    SchedulerConformanceRule,
+    SolverRoutingRule,
+    TickPathBlockingRule,
+    ValidationConsistencyRule,
+)
 
-__all__ = ["Finding", "ModuleContext", "check_file", "check_paths", "iter_python_files"]
+__all__ = [
+    "RULES",
+    "RULE_REGISTRY",
+    "Finding",
+    "ModuleContext",
+    "check_file",
+    "check_paths",
+    "iter_python_files",
+    "rule_ids",
+]
+
+#: Every rule, per-file first; ``concurrency.py`` subclasses
+#: :class:`ProjectRule` from ``rules.py``, so the set is assembled here.
+RULES: tuple[Rule, ...] = (
+    DeterminismRule(),
+    QueueHygieneRule(),
+    SchedulerConformanceRule(),
+    ValidationConsistencyRule(),
+    FloatEqualityRule(),
+    RunnerRoutingRule(),
+    PerfClockRule(),
+    SolverRoutingRule(),
+    TickPathBlockingRule(),
+    ProcessSpawnRule(),
+    *CONCURRENCY_RULES,
+)
+
+RULE_REGISTRY: dict = {rule.id: rule for rule in RULES}
+
+
+def rule_ids() -> list:
+    """All registered rule ids, sorted."""
+    return sorted(RULE_REGISTRY)
 
 _SUPPRESS_LINE = re.compile(r"#\s*staticcheck:\s*ignore\[([A-Za-z0-9_,\s]+)\]")
 _SUPPRESS_FILE = re.compile(r"#\s*staticcheck:\s*ignore-file\[([A-Za-z0-9_,\s]+)\]")

@@ -36,7 +36,15 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.tools.staticcheck.rules import _canonical_call, _dotted_name, _import_map
+from repro.tools.staticcheck.rules import (
+    BLOCKING_BUILTINS,
+    BLOCKING_CALLS,
+    BLOCKING_METHOD_NAMES,
+    BLOCKING_PREFIXES,
+    _canonical_call,
+    _dotted_name,
+    _import_map,
+)
 
 __all__ = [
     "Acquisition",
@@ -735,15 +743,6 @@ def _analyze_functions(project: Project, blocking_tables: dict) -> None:
 # ----------------------------------------------------------------------
 def build_project(contexts: Sequence[object]) -> Project:
     """Build the full cross-module model over parsed *contexts*."""
-    # Imported lazily so rules.py can import this module at its bottom
-    # without a hard circular dependency at class-definition time.
-    from repro.tools.staticcheck.rules import (
-        BLOCKING_BUILTINS,
-        BLOCKING_CALLS,
-        BLOCKING_METHOD_NAMES,
-        BLOCKING_PREFIXES,
-    )
-
     project = Project(contexts)
     _collect_symbols(project)
     _resolve_types(project)

@@ -5,8 +5,7 @@ from __future__ import annotations
 import json
 from typing import Sequence
 
-from repro.tools.staticcheck.engine import Finding
-from repro.tools.staticcheck.rules import RULES
+from repro.tools.staticcheck.engine import RULES, Finding
 
 __all__ = ["render_text", "render_json", "render_rule_listing"]
 

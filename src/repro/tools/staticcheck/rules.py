@@ -23,9 +23,6 @@ __all__ = [
     "BLOCKING_PREFIXES",
     "ProjectRule",
     "Rule",
-    "RULES",
-    "RULE_REGISTRY",
-    "rule_ids",
 ]
 
 Violation = Tuple[ast.AST, str]
@@ -801,30 +798,3 @@ class ProcessSpawnRule(Rule):
                     "engine (run_many) so pool-death recovery and teardown "
                     "stay on the tested path",
                 )
-
-
-# Imported at the bottom on purpose: concurrency.py subclasses
-# ProjectRule (defined above), so by the time this import runs every
-# name it needs from this module already exists.
-from repro.tools.staticcheck.concurrency import CONCURRENCY_RULES  # noqa: E402
-
-RULES: tuple[Rule, ...] = (
-    DeterminismRule(),
-    QueueHygieneRule(),
-    SchedulerConformanceRule(),
-    ValidationConsistencyRule(),
-    FloatEqualityRule(),
-    RunnerRoutingRule(),
-    PerfClockRule(),
-    SolverRoutingRule(),
-    TickPathBlockingRule(),
-    ProcessSpawnRule(),
-    *CONCURRENCY_RULES,
-)
-
-RULE_REGISTRY: dict = {rule.id: rule for rule in RULES}
-
-
-def rule_ids() -> list:
-    """All registered rule ids, sorted."""
-    return sorted(RULE_REGISTRY)

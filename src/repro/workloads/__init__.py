@@ -5,50 +5,30 @@ Cosmos traces, FERC hourly prices) — see DESIGN.md for the substitution
 rationale.
 """
 
-from repro.workloads.arrivals import (
-    CompositeRate,
-    ConstantRate,
-    DiurnalRate,
-    OnOffBurstRate,
-    PoissonCounts,
-    RateProfile,
-    WeeklyRate,
-    sample_bounded_poisson,
-)
-from repro.workloads.availability import AvailabilityModel, apply_capacity_faults
-from repro.workloads.calibration import (
-    ProvisioningReport,
-    calibrate_workload,
-    provisioning_report,
-)
-from repro.workloads.cosmos import CosmosWorkload
-from repro.workloads.prices import PriceModel, apply_price_faults
-from repro.workloads.replay import (
-    load_scenario_csv,
-    read_matrix_csv,
-    save_scenario_csv,
-    write_matrix_csv,
-)
+from repro import _export_table
 
-__all__ = [
-    "AvailabilityModel",
-    "ProvisioningReport",
-    "CompositeRate",
-    "ConstantRate",
-    "CosmosWorkload",
-    "DiurnalRate",
-    "OnOffBurstRate",
-    "PoissonCounts",
-    "PriceModel",
-    "RateProfile",
-    "WeeklyRate",
-    "apply_capacity_faults",
-    "apply_price_faults",
-    "calibrate_workload",
-    "load_scenario_csv",
-    "provisioning_report",
-    "read_matrix_csv",
-    "sample_bounded_poisson",
-    "save_scenario_csv",
-    "write_matrix_csv",
-]
+__all__, __getattr__, __dir__ = _export_table(
+    __name__,
+    {
+        "CompositeRate": ".arrivals",
+        "ConstantRate": ".arrivals",
+        "DiurnalRate": ".arrivals",
+        "OnOffBurstRate": ".arrivals",
+        "PoissonCounts": ".arrivals",
+        "RateProfile": ".arrivals",
+        "WeeklyRate": ".arrivals",
+        "sample_bounded_poisson": ".arrivals",
+        "AvailabilityModel": ".availability",
+        "apply_capacity_faults": ".availability",
+        "ProvisioningReport": ".calibration",
+        "calibrate_workload": ".calibration",
+        "provisioning_report": ".calibration",
+        "CosmosWorkload": ".cosmos",
+        "PriceModel": ".prices",
+        "apply_price_faults": ".prices",
+        "load_scenario_csv": ".replay",
+        "read_matrix_csv": ".replay",
+        "save_scenario_csv": ".replay",
+        "write_matrix_csv": ".replay",
+    },
+)

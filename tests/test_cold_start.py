@@ -1,4 +1,4 @@
-"""Cold start: only an LP solve loads scipy.
+"""Cold start: only an LP solve loads scipy, and a batch run loads only what it runs.
 
 GreFar decides a slot without an LP solver (the greedy threshold walk at
 beta = 0, Frank-Wolfe over that walk at beta > 0), so importing the
@@ -6,8 +6,14 @@ package, running GreFar or a baseline, and building the gateway must
 leave every ``scipy`` module unloaded.  :func:`repro.optimize.lp.highs`
 imports the solver on its first call.
 
-The test process itself has long since imported scipy, so each case runs
-in a fresh interpreter and reports the ``scipy`` modules it loaded.
+Package ``__init__``s are lazy export tables, so the import budget of a
+batch run is what it uses: no gateway stack (``http``, ``email``,
+``ssl``, ``socketserver``, ``repro.service``), no process pool
+(``multiprocessing``, ``concurrent``; ``run_many`` imports it only for
+``jobs > 1``), no planner, tradeoff sweep or other experiment module.
+
+The test process itself has long since imported all of these, so each
+case runs in a fresh interpreter and reports the modules it loaded.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ REPO = Path(__file__).resolve().parent.parent
 _REPORT = textwrap.dedent(
     """
     import json, sys
-    print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+    print(json.dumps(sorted(sys.modules)))
     """
 )
 
@@ -104,8 +110,44 @@ CASES = {
 }
 
 
-def _loaded_scipy(code: str, *args: str) -> list:
-    """Run *code* in a fresh interpreter; return the scipy modules it loaded."""
+_FIG2_SETUP = textwrap.dedent(
+    """
+    import repro.experiments.fig2_v_sweep, repro.scenarios, repro.schedulers
+    from repro.scenarios import paper_scenario
+    from repro.schedulers import build_scheduler
+
+    scenario = paper_scenario(horizon=50, seed=1)
+    build_scheduler("grefar", scenario.cluster, v=7.5)
+    """
+)
+
+#: Batch runs and the experiment module each imports (or ``None``).
+BATCH_CASES = {
+    "fig2-setup": (_FIG2_SETUP, "repro.experiments.fig2_v_sweep"),
+    "grefar-beta100": (CASES["grefar-beta100"], None),
+}
+
+#: Loaded by no batch run: the gateway stack, the process pool, the planners.
+_OFF_BUDGET_TOPS = {"http", "email", "ssl", "socketserver", "multiprocessing", "concurrent"}
+_OFF_BUDGET = {
+    "repro.schedulers.lookahead",
+    "repro.schedulers.receding_horizon",
+    "repro.analysis.tradeoff",
+}
+
+
+def _off_budget(module: str, experiment) -> bool:
+    return (
+        module.split(".")[0] in _OFF_BUDGET_TOPS
+        or module in _OFF_BUDGET
+        or module == "repro.service"
+        or module.startswith("repro.service.")
+        or (module.startswith("repro.experiments.") and module != experiment)
+    )
+
+
+def _loaded(code: str, *args: str) -> list:
+    """Run *code* in a fresh interpreter; return the modules it loaded."""
     proc = subprocess.run(
         [sys.executable, "-c", code + _REPORT, *args],
         capture_output=True,
@@ -118,6 +160,11 @@ def _loaded_scipy(code: str, *args: str) -> list:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def _loaded_scipy(code: str, *args: str) -> list:
+    """The ``scipy`` modules *code* loads in a fresh interpreter."""
+    return [m for m in _loaded(code, *args) if m.split(".")[0] == "scipy"]
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_no_lp_path_loads_scipy(case, tmp_path):
     assert _loaded_scipy(CASES[case], str(tmp_path / "svc")) == []
@@ -125,3 +172,15 @@ def test_no_lp_path_loads_scipy(case, tmp_path):
 
 def test_lp_solve_loads_scipy_and_is_feasible():
     assert "scipy.optimize" in _loaded_scipy(_MEMORY_LP)
+
+
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_batch_run_stays_within_import_budget(case):
+    code, experiment = BATCH_CASES[case]
+    loaded = _loaded(code)
+    assert experiment is None or experiment in loaded
+    assert [m for m in loaded if _off_budget(m, experiment)] == []
+
+
+def test_bare_import_loads_no_submodule():
+    assert [m for m in _loaded("import repro\n") if m.startswith("repro.")] == []

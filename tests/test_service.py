@@ -554,13 +554,13 @@ def test_resume_refuses_an_unusable_checkpoint(tmp_path):
 
 
 def test_serve_reports_an_unusable_checkpoint_in_one_line(monkeypatch, capsys):
-    import repro.service
+    import repro.service.app
     from repro.cli import main
 
     def refuse(*args, **kwargs):
         raise CheckpointError("checkpoint x.ckpt is unusable: schema 'ckpt-v1'")
 
-    monkeypatch.setattr(repro.service, "serve", refuse)
+    monkeypatch.setattr(repro.service.app, "serve", refuse)
     assert main(["serve", "--resume"]) == 2
     err = capsys.readouterr().err
     assert err == "error: checkpoint x.ckpt is unusable: schema 'ckpt-v1'\n"
