@@ -36,32 +36,16 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from repro.analysis.tables import format_table
-from repro.analysis.tradeoff import sweep_v
-from repro.core.bounds import TheoremConstants
-from repro.core.grefar import GreFarScheduler
-from repro.core.slackness import check_slackness
-from repro.faults.events import FAULT_KINDS, FaultEvent, FaultSchedule
-from repro.faults.injector import FaultInjector
-from repro.faults.resilience import ResilienceObserver
-from repro.resilient.chaos import run_chaos_drill
-from repro.resilient.checkpoint import SimulationKilled
-from repro.runner.cache import ResultCache, default_cache
-from repro.runner.engine import (
-    CheckpointPolicy,
-    reset_stats,
-    run_many,
-    runner_stats,
-    set_checkpoint_policy,
-)
-from repro.runner.spec import RunSpec, ScenarioSpec
-from repro.scenarios import paper_scenario
-from repro.schedulers.always import AlwaysScheduler
-from repro.schedulers.random_dc import RandomRoutingScheduler
 from repro.schedulers.registry import scheduler_names
-from repro.simulation.simulator import Simulator
+
+if TYPE_CHECKING:
+    from repro.runner.cache import ResultCache
+
+# Each subcommand imports what it runs inside its handler, so a command
+# loads only its own modules (``repro serve`` loads no runner, fault or
+# analysis module; tests/test_cold_start.py holds it to that).
 
 __all__ = ["main", "build_parser", "ExperimentInfo", "experiment_info"]
 
@@ -179,11 +163,15 @@ def _scheduler_kwargs_from_args(name: str, args) -> dict:
 
 
 def _cache_for(args) -> ResultCache | None:
+    from repro.runner.cache import default_cache
+
     return None if args.no_cache else default_cache()
 
 
 def _install_checkpoint_policy(args) -> None:
     """Install the process-wide checkpoint policy from the CLI flags."""
+    from repro.runner.engine import CheckpointPolicy, set_checkpoint_policy
+
     every = getattr(args, "checkpoint_every", None)
     resume = bool(getattr(args, "resume", False))
     kill_at = getattr(args, "kill_at", None)
@@ -196,6 +184,8 @@ def _install_checkpoint_policy(args) -> None:
 
 
 def _print_runner_stats() -> None:
+    from repro.runner.engine import runner_stats
+
     print(runner_stats().render())
 
 
@@ -219,6 +209,11 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    from repro.analysis.tables import format_table
+    from repro.resilient.checkpoint import SimulationKilled
+    from repro.runner.engine import reset_stats, run_many, set_checkpoint_policy
+    from repro.runner.spec import RunSpec, ScenarioSpec
+
     reset_stats()
     try:
         _install_checkpoint_policy(args)
@@ -256,6 +251,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from repro.analysis.tables import format_table
+    from repro.runner.engine import reset_stats, run_many
+    from repro.runner.spec import RunSpec, ScenarioSpec
+
     reset_stats()
     scenario_spec = ScenarioSpec(kind="paper", horizon=args.horizon, seed=args.seed)
     contenders = [
@@ -283,6 +282,11 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_sweep_v(args) -> int:
+    from repro.analysis.tables import format_table
+    from repro.analysis.tradeoff import sweep_v
+    from repro.runner.engine import reset_stats
+    from repro.scenarios import paper_scenario
+
     values = [float(x) for x in args.values.split(",") if x]
     if not values:
         print("error: --values must list at least one V", file=sys.stderr)
@@ -313,6 +317,18 @@ def _cmd_sweep_v(args) -> int:
 
 def _cmd_resilience(args) -> int:
     """Run a fault drill and report recovery/overshoot per scheduler."""
+    from repro.analysis.tables import format_table
+    from repro.core.bounds import TheoremConstants
+    from repro.core.grefar import GreFarScheduler
+    from repro.core.slackness import check_slackness
+    from repro.faults.events import FaultEvent, FaultSchedule
+    from repro.faults.injector import FaultInjector
+    from repro.faults.resilience import ResilienceObserver
+    from repro.scenarios import paper_scenario
+    from repro.schedulers.always import AlwaysScheduler
+    from repro.schedulers.random_dc import RandomRoutingScheduler
+    from repro.simulation.simulator import Simulator
+
     scenario = paper_scenario(horizon=args.horizon, seed=args.seed)
     cluster = scenario.cluster
     if args.start + args.duration > args.horizon:
@@ -398,7 +414,9 @@ def _cmd_chaos(args) -> int:
     was feasible, and (when faults were actually injected) at least one
     fallback was recorded — the CI ``chaos`` job's acceptance bar.
     """
-    from repro.scenarios import small_scenario
+    from repro.core.grefar import GreFarScheduler
+    from repro.resilient.chaos import run_chaos_drill
+    from repro.scenarios import paper_scenario, small_scenario
 
     if not 0.0 <= args.fail_rate <= 1.0:
         print(
@@ -438,6 +456,8 @@ def _cmd_chaos(args) -> int:
 
 def _cmd_cache(args) -> int:
     """Inspect or clear the on-disk result cache."""
+    from repro.runner.cache import default_cache
+
     cache = default_cache()
     if cache is None:
         print("cache disabled (REPRO_NO_CACHE is set)")
@@ -479,7 +499,7 @@ def _cmd_lint(args) -> int:
 def _cmd_profile(args) -> int:
     """Profile one run with telemetry on; print its timer table."""
     from repro.obs.profile import profile_run, render_hot_path_table
-    from repro.scenarios import small_scenario
+    from repro.scenarios import paper_scenario, small_scenario
     from repro.schedulers.registry import build_scheduler
 
     if args.scenario == "small":
@@ -547,6 +567,9 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    from repro.resilient.checkpoint import SimulationKilled
+    from repro.runner.engine import reset_stats, set_checkpoint_policy
+
     try:
         info = experiment_info(args.name)
     except ValueError as exc:
@@ -658,7 +681,11 @@ def build_parser() -> argparse.ArgumentParser:
     resilience = sub.add_parser(
         "resilience", help="fault drill: inject a fault, report recovery"
     )
-    resilience.add_argument("--kind", choices=FAULT_KINDS, default="outage")
+    resilience.add_argument(
+        "--kind",
+        default="outage",
+        help="fault kind (default: outage; the kinds are listed in docs/RESILIENCE.md)",
+    )
     resilience.add_argument("--dc", type=int, default=1, help="0-based site index")
     resilience.add_argument("--start", type=int, default=150)
     resilience.add_argument("--duration", type=int, default=60)

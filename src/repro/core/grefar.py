@@ -102,7 +102,9 @@ class GreFarScheduler(Scheduler):
 
     def __getstate__(self) -> dict:
         # The route constant is rebuilt on first use; pickles leave it out.
-        return {name: value for name, value in self.__dict__.items() if name != "_transfer"}
+        state = super().__getstate__()
+        state.pop("_transfer", None)
+        return state
 
     # ------------------------------------------------------------------
     def decide(self, t: int, state: ClusterState, queues: QueueNetwork) -> Action:

@@ -60,6 +60,10 @@ def whole_jobs(x):
     return whole
 
 
+#: The :class:`DelayStats` accumulators that are arrays.
+_STATS_ARRAYS = ("front_completed", "front_delay_sum", "dc_completed", "dc_delay_sum")
+
+
 @dataclass
 class DelayStats:
     """Accumulated per-job queueing delay statistics.
@@ -90,6 +94,20 @@ class DelayStats:
         # percentile reporting without storing every sample.
         self.dc_delay_histogram = [{} for _ in range(n)]
         self.front_delay_histogram = {}
+
+    # Pickles hold the arrays as (nested) lists of floats: same values,
+    # several times cheaper to write than small arrays.
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        for name in _STATS_ARRAYS:
+            state[name] = state[name].tolist()
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        # Pickles written before the list form hold the arrays themselves.
+        self.__dict__.update(state)
+        for name in _STATS_ARRAYS:
+            setattr(self, name, np.array(state[name], dtype=np.float64))
 
     # ------------------------------------------------------------------
     def record_routed(self, job_type: int, count: float, delay: float) -> None:
@@ -200,6 +218,34 @@ class QueueNetwork:
             (i, jj): deque() for i in range(n) for jj in range(j)
         }
         self._stats = DelayStats(n, j)
+
+    # Pickles hold plain values: the queue vectors as lists of floats and
+    # each FIFO ledger as a list of its ``[arrival_slot, count]`` batches,
+    # in the order the dict of site ledgers is built in.
+    def __getstate__(self) -> dict:
+        return {
+            "_cluster": self._cluster,
+            "_front": self._front.tolist(),
+            "_dc": self._dc.tolist(),
+            "_front_ledger": [list(ledger) for ledger in self._front_ledger],
+            "_dc_ledger": [list(ledger) for ledger in self._dc_ledger.values()],
+            "_stats": self._stats,
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        # Pickles written before the plain form hold the arrays, deques
+        # and the dict of site ledgers themselves.
+        self._cluster = state["_cluster"]
+        self._front = np.array(state["_front"], dtype=np.float64)
+        self._dc = np.array(state["_dc"], dtype=np.float64)
+        self._front_ledger = [deque(ledger) for ledger in state["_front_ledger"]]
+        dc_ledger = state["_dc_ledger"]
+        if not isinstance(dc_ledger, dict):
+            n, j = self._dc.shape
+            keys = [(i, jj) for i in range(n) for jj in range(j)]
+            dc_ledger = {key: deque(ledger) for key, ledger in zip(keys, dc_ledger)}
+        self._dc_ledger = dc_ledger
+        self._stats = state["_stats"]
 
     # ------------------------------------------------------------------
     # Read-only views

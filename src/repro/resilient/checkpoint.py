@@ -12,10 +12,16 @@ File format (``ckpt-v2``), two files side by side:
 
 * ``<key>.ckpt`` — the **snapshot**, one pickle of ``{"schema":
   CHECKPOINT_SCHEMA, "key": ..., "payload": {...}, "history_len": n,
-  "journal_bytes": b}``.  The payload is the fixed-size state: queue
+  "journal_bytes": b}``.  The payload is the fixed-size run state: queue
   network, scheduler (including any RNG state, e.g. the random-routing
   baseline's generator), admission policy, fault injector, loop
-  counters.  Writes go to a same-directory temp file followed by
+  counters.  The cluster is static input, not run state: a payload
+  names its run's cluster under ``"cluster"``, which is never written;
+  every reference to it is written as a token instead, which loading
+  resolves to the cluster the caller passes in (the live scenario's),
+  or else to an :class:`UnboundCluster` stand-in that
+  :func:`bind_cluster` replaces later.
+  Writes go to a same-directory temp file followed by
   ``os.replace``, so a crash mid-write leaves the previous snapshot
   intact rather than a torn file.
 * ``<key>.hist`` — the append-only **history journal**: the per-slot
@@ -65,6 +71,8 @@ __all__ = [
     "ColumnHistory",
     "DEFAULT_CHECKPOINT_DIR",
     "SimulationKilled",
+    "UnboundCluster",
+    "bind_cluster",
     "checkpoint_path",
     "journal_path",
     "load_checkpoint",
@@ -80,6 +88,68 @@ DEFAULT_CHECKPOINT_DIR = Path(".repro_cache") / "checkpoints"
 
 # What a torn or foreign pickle can raise while loading.
 _UNPICKLE_ERRORS = (OSError, pickle.UnpicklingError, EOFError, AttributeError, ValueError)
+
+
+def _scenario_cluster():
+    """The token a snapshot holds in place of its run's cluster.
+
+    Only the checkpoint unpickler resolves it (to the cluster passed to
+    the load); a snapshot read any other way fails here.
+    """
+    raise pickle.UnpicklingError(
+        "this snapshot refers to its run's cluster; load it with that cluster"
+    )
+
+
+class _SnapshotPickler(pickle.Pickler):
+    """Pickles a snapshot with every reference to *cluster* as a token."""
+
+    def __init__(self, file, cluster: Any) -> None:
+        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
+        self._cluster = cluster
+
+    def reducer_override(self, obj: Any) -> Any:
+        # Called only for objects without a built-in pickler, so the
+        # floats, lists and dicts of the run state pay nothing for it.
+        if obj is self._cluster:
+            return _scenario_cluster, ()
+        return NotImplemented
+
+
+class UnboundCluster:
+    """Stands in for the run's cluster in a snapshot loaded without it.
+
+    It has no attributes; :func:`bind_cluster` replaces it with a cluster.
+    """
+
+    __slots__ = ()
+
+
+_UNBOUND = UnboundCluster()
+
+
+class _SnapshotUnpickler(pickle.Unpickler):
+    """Loads a snapshot, resolving the cluster token to *cluster*.
+
+    Without a cluster the token resolves to an :class:`UnboundCluster`.
+    """
+
+    def __init__(self, file, cluster: Any) -> None:
+        super().__init__(file)
+        self._cluster = _UNBOUND if cluster is None else cluster
+
+    def find_class(self, module: str, name: str) -> Any:
+        if (module, name) == (__name__, "_scenario_cluster"):
+            return lambda: self._cluster
+        return super().find_class(module, name)
+
+
+def bind_cluster(obj: Any, cluster: Any) -> Any:
+    """A copy of *obj* that holds *cluster* wherever it held an :class:`UnboundCluster`."""
+    buffer = io.BytesIO()
+    _SnapshotPickler(buffer, _UNBOUND).dump(obj)
+    buffer.seek(0)
+    return _SnapshotUnpickler(buffer, cluster).load()
 
 
 class CheckpointError(RuntimeError):
@@ -146,10 +216,25 @@ def save_checkpoint(
 
     *history_len* and *journal_bytes* say how much of the journal beside
     *path* belongs to this snapshot (``None``: the payload has no
-    history).
+    history).  A payload's ``"cluster"`` is not written: references to
+    it are written as a token (see :meth:`Checkpointer.load`).
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    return _write_snapshot(path, key, payload, history_len, journal_bytes)
+
+
+def _write_snapshot(
+    path: Path,
+    key: str,
+    payload: Dict[str, Any],
+    history_len: Optional[int],
+    journal_bytes: int,
+) -> Path:
+    """:func:`save_checkpoint` into an existing directory."""
+    cluster = payload.get("cluster")
+    if cluster is not None:
+        payload = {name: value for name, value in payload.items() if name != "cluster"}
     record = {
         "schema": CHECKPOINT_SCHEMA,
         "key": key,
@@ -160,7 +245,7 @@ def save_checkpoint(
     tmp = path.with_suffix(f".tmp.{os.getpid()}")
     try:
         with open(tmp, "wb") as handle:
-            pickle.dump(record, handle, protocol=pickle.HIGHEST_PROTOCOL)
+            _SnapshotPickler(handle, cluster).dump(record)
         os.replace(tmp, path)
     except (OSError, pickle.PicklingError) as exc:
         try:
@@ -179,14 +264,15 @@ def _append_rows(path: Path, rows: list, offset: int) -> int:
     first.
     """
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "r+b" if offset else "wb") as handle:
-            if handle.seek(0, os.SEEK_END) < offset:
+            end = handle.seek(0, os.SEEK_END)
+            if end < offset:
                 raise CheckpointError(
                     f"history journal {path} is shorter than its snapshot claims"
                 )
-            handle.seek(offset)
-            handle.truncate()
+            if end > offset:
+                handle.seek(offset)
+                handle.truncate()
             pickle.dump(rows, handle, protocol=pickle.HIGHEST_PROTOCOL)
             handle.flush()
             return handle.tell()
@@ -218,20 +304,22 @@ def _unusable(counter: str, path: Path, reason: str) -> CheckpointError:
 
 
 def _read_checkpoint(
-    path: Union[str, Path], key: Optional[str] = None
+    path: Union[str, Path], key: Optional[str] = None, cluster: Any = None
 ) -> Optional[Dict[str, Any]]:
     """The full checkpoint record at *path*, or ``None`` if there is none.
 
     The record's payload carries the journalled rows under
-    ``"history"`` when the snapshot was saved with a history.  A file
-    that exists but cannot be resumed — a torn or corrupt snapshot or
-    journal, a schema-tag mismatch, or (when *key* is given) a key
-    mismatch — raises :class:`CheckpointError` naming the reason.
+    ``"history"`` when the snapshot was saved with a history, and
+    *cluster* wherever the saved payload referred to its run's cluster.
+    A file that exists but cannot be resumed — a torn or corrupt
+    snapshot or journal, a schema-tag mismatch, or (when *key* is
+    given) a key mismatch — raises :class:`CheckpointError` naming the
+    reason.
     """
     path = Path(path)
     try:
         with open(path, "rb") as handle:
-            record = pickle.load(handle)
+            record = _SnapshotUnpickler(handle, cluster).load()
     except FileNotFoundError:
         return None
     except _UNPICKLE_ERRORS as exc:
@@ -259,17 +347,18 @@ def _read_checkpoint(
 
 
 def load_checkpoint(
-    path: Union[str, Path], key: Optional[str] = None
+    path: Union[str, Path], key: Optional[str] = None, cluster: Any = None
 ) -> Optional[Dict[str, Any]]:
     """Load a checkpoint payload; ``None`` if absent, stale or unreadable.
 
     A missing file, a torn/corrupt snapshot or journal, a schema-tag
     mismatch or (when *key* is given) a key mismatch all mean "no
     usable checkpoint": resuming silently falls back to a fresh run
-    rather than crashing or, worse, resuming the wrong run.
+    rather than crashing or, worse, resuming the wrong run.  Pass the
+    *cluster* the snapshot was saved with (see :meth:`Checkpointer.load`).
     """
     try:
-        record = _read_checkpoint(path, key)
+        record = _read_checkpoint(path, key, cluster)
     except CheckpointError:
         return None
     return None if record is None else record["payload"]
@@ -304,6 +393,8 @@ class Checkpointer:
     _journal: Tuple[int, int] = field(
         default=(0, 0), init=False, repr=False, compare=False
     )
+    #: The directory this checkpointer last made sure exists.
+    _made_directory: Optional[Path] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.key:
@@ -331,33 +422,49 @@ class Checkpointer:
         """Journal the new history rows, then replace the snapshot.
 
         Returns the snapshot path.  A payload without ``"history"`` is
-        written as a snapshot alone.
+        written as a snapshot alone.  The payload's ``"cluster"`` (the
+        run's static input) is not written; references to it are
+        written as a token.
         """
+        path = self.path
+        if path.parent != self._made_directory:
+            try:
+                path.parent.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise CheckpointError(f"could not create {path.parent}: {exc}") from exc
+            self._made_directory = path.parent
         history = payload.get("history")
         if history is None:
-            return save_checkpoint(self.path, self.key, payload)
+            return _write_snapshot(path, self.key, payload, None, 0)
         rows, offset = self._journal
         if len(history) < rows:
             # A shorter history is a different run: start the journal over.
             rows, offset = 0, 0
         if len(history) > rows:
-            offset = _append_rows(journal_path(self.path), history[rows:], offset)
+            offset = _append_rows(journal_path(path), history[rows:], offset)
         snapshot = {name: value for name, value in payload.items() if name != "history"}
-        path = save_checkpoint(self.path, self.key, snapshot, len(history), offset)
+        _write_snapshot(path, self.key, snapshot, len(history), offset)
         self._journal = (len(history), offset)
         return path
 
-    def load(self) -> Optional[Dict[str, Any]]:
-        """The saved payload; ``None`` if absent, stale or unreadable."""
+    def load(self, cluster: Any = None) -> Optional[Dict[str, Any]]:
+        """The saved payload; ``None`` if absent, stale or unreadable.
+
+        Pass the ``"cluster"`` the payload was saved with: the restored
+        objects hold it where the saved ones held the run's cluster.
+        Without one they hold an :class:`UnboundCluster`, which
+        :meth:`Simulator.restore <repro.simulation.simulator.Simulator.restore>`
+        replaces with its scenario's cluster.
+        """
         try:
-            return self.load_strict()
+            return self.load_strict(cluster)
         except CheckpointError:
             return None
 
-    def load_strict(self) -> Optional[Dict[str, Any]]:
+    def load_strict(self, cluster: Any = None) -> Optional[Dict[str, Any]]:
         """Like :meth:`load`, but an unusable file raises :class:`CheckpointError`."""
         self._journal = (0, 0)
-        record = _read_checkpoint(self.path, key=self.key)
+        record = _read_checkpoint(self.path, key=self.key, cluster=cluster)
         if record is None:
             return None
         if record["history_len"] is not None:

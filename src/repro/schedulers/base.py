@@ -76,6 +76,23 @@ class Scheduler(ABC):
     def decide(self, t: int, state: ClusterState, queues: QueueNetwork) -> Action:
         """Return the action ``z(t)`` for slot *t*."""
 
+    # Pickles hold the last good signals as nested lists of floats, which
+    # are several times cheaper to write than the arrays.
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        last = state.get("_last_good_state")
+        if last is not None:
+            state["_last_good_state"] = tuple(signal.tolist() for signal in last)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        last = state.get("_last_good_state")
+        if last is not None:
+            state["_last_good_state"] = tuple(
+                np.array(signal, dtype=np.float64) for signal in last
+            )
+        self.__dict__.update(state)
+
     def reset(self) -> None:
         """Clear any internal state before a fresh simulation run.
 

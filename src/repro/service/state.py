@@ -25,6 +25,7 @@ world in both directions:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -103,8 +104,10 @@ class ServiceConfig:
             "cost_beta": self.cost_beta,
         }
 
-    @property
+    @cached_property
     def digest(self) -> str:
+        # The config is frozen: one JSON + SHA-256 pass serves every
+        # save and every path or key derived from it.
         return spec_digest(self.identity())
 
     @property
@@ -175,24 +178,23 @@ class ServiceState:
             cost_model=CostModel(beta=config.cost_beta),
         )
         self.sim.reset()
-        #: Accepted arrival vectors, one per completed slot (length J).
-        self.arrivals_log: List[np.ndarray] = []
+        #: Per-type per-slot arrival bounds ``A_j^max`` (length J, read-only).
+        self.max_arrivals = np.array(
+            [jt.max_arrivals for jt in self.cluster.job_types], dtype=np.float64
+        )
+        self.max_arrivals.flags.writeable = False
+        #: Accepted arrival vectors as lists of floats, one per completed
+        #: slot (length J).
+        self.arrivals_log: List[List[float]] = []
         #: Cumulative eq. (3) work per account, for /v1/fairness.
         self.account_work = np.zeros(self.cluster.num_accounts)
 
     # ------------------------------------------------------------------
-    @property
-    def max_arrivals(self) -> np.ndarray:
-        """Per-type per-slot arrival bounds ``A_j^max`` (length J)."""
-        return np.asarray(
-            [jt.max_arrivals for jt in self.cluster.job_types], dtype=np.float64
-        )
-
     def arrivals_matrix(self) -> np.ndarray:
         """Accepted arrivals as a ``(completed_slots, J)`` matrix."""
         if not self.arrivals_log:
             return np.zeros((0, self.cluster.num_job_types))
-        return np.stack(self.arrivals_log)
+        return np.array(self.arrivals_log, dtype=np.float64)
 
     def replay_scenario(self) -> Scenario:
         """The completed slots as an offline scenario.
@@ -217,12 +219,12 @@ class ServiceState:
         metrics = self.sim.metrics
         return {
             "slot": t,
-            "arrivals": [float(a) for a in self.arrivals_log[t]],
+            "arrivals": list(self.arrivals_log[t]),
             "energy_cost": metrics.energy_cost[t],
             "fairness": metrics.fairness[t],
             "combined_cost": metrics.combined_cost[t],
             "served_jobs": metrics.served_jobs[t],
-            "work_per_dc": [float(w) for w in metrics.work_per_dc[t]],
+            "work_per_dc": list(metrics.work_per_dc[t]),
             "queue_total": float(metrics.queue_total[t]),
             "queue_max": float(metrics.queue_max[t]),
         }
@@ -266,7 +268,7 @@ class ServiceState:
             **sim.snapshot(),
             "config_digest": self.config.digest,
             "history": ColumnHistory([*sim.metrics.series(), self.arrivals_log]),
-            "account_work": self.account_work.copy(),
+            "account_work": self.account_work.tolist(),
             **extra,
         }
 

@@ -45,7 +45,7 @@ def tick_once(state: ServiceState, arrivals: np.ndarray) -> dict:
     arrivals = np.asarray(arrivals, dtype=np.float64)
     action = sim.step(arrivals)
     state.account_work += action.account_work(state.cluster)
-    state.arrivals_log.append(arrivals.copy())
+    state.arrivals_log.append(arrivals.tolist())
     return state.slot_record(t)
 
 

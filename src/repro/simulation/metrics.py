@@ -91,17 +91,21 @@ class MetricsCollector:
         served_jobs: float,
         queues: QueueNetwork,
     ) -> None:
-        """Record one slot's outcomes (call once per slot, in order)."""
+        """Record one slot's outcomes (call once per slot, in order).
+
+        Per-site values are kept as lists of floats, so a checkpoint
+        journals a slot's row as plain values.
+        """
         self.energy_cost.append(float(energy))
         self.fairness.append(float(fairness))
         self.combined_cost.append(float(combined))
-        self.work_per_dc.append(np.asarray(work_per_dc, dtype=np.float64).copy())
+        self.work_per_dc.append(np.asarray(work_per_dc, dtype=np.float64).tolist())
         self.queue_total.append(queues.total_backlog())
         self.queue_max.append(queues.max_queue_length())
         self.served_jobs.append(float(served_jobs))
         stats = queues.stats
-        self.dc_delay_sum.append(stats.dc_delay_sum.sum(axis=1))
-        self.dc_completed.append(stats.dc_completed.sum(axis=1))
+        self.dc_delay_sum.append(stats.dc_delay_sum.sum(axis=1).tolist())
+        self.dc_completed.append(stats.dc_completed.sum(axis=1).tolist())
         self.front_delay_sum.append(float(stats.front_delay_sum.sum()))
         self.front_completed.append(float(stats.front_completed.sum()))
 

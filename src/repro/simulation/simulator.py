@@ -25,6 +25,8 @@ from repro.resilient.checkpoint import (
     Checkpointer,
     ColumnHistory,
     SimulationKilled,
+    UnboundCluster,
+    bind_cluster,
 )
 from repro.schedulers.base import Scheduler
 from repro.simulation.metrics import MetricsCollector, SimulationSummary
@@ -123,8 +125,11 @@ class Simulator:
 
         The metrics are rebuilt from the ``history`` rows.  A payload
         without ``admission``/``injector`` keeps the instance's own; one
-        without ``dropped`` has dropped nothing.
+        without ``dropped`` has dropped nothing.  A payload loaded
+        without its cluster gets the scenario's.
         """
+        if isinstance(snapshot["queues"].cluster, UnboundCluster):
+            snapshot = bind_cluster(snapshot, self.scenario.cluster)
         self.next_slot = int(snapshot["next_slot"])
         self.queues = snapshot["queues"]
         self.metrics = MetricsCollector.from_rows(
@@ -140,9 +145,13 @@ class Simulator:
         """Everything :meth:`step` mutates (see resilient.checkpoint).
 
         The metrics go in as ``history`` rows, which a checkpoint
-        journals once instead of pickling them on every save.
+        journals once instead of pickling them on every save.  The
+        scenario's cluster goes in as ``cluster``: the queues, scheduler
+        and injector refer to it, but it is static input, which a
+        checkpoint writes as a token.
         """
         return {
+            "cluster": self.scenario.cluster,
             "next_slot": int(self.next_slot),
             "scheduler_name": self.scheduler.name,
             "queues": self.queues,
@@ -275,7 +284,7 @@ class Simulator:
             )
         if resume and checkpointer is None:
             raise ValueError("resume=True requires a checkpointer")
-        snapshot = checkpointer.load() if (checkpointer and resume) else None
+        snapshot = checkpointer.load(scenario.cluster) if (checkpointer and resume) else None
         if snapshot is None:
             self.reset()
         elif int(snapshot["next_slot"]) > horizon:

@@ -11,6 +11,8 @@ batch run is what it uses: no gateway stack (``http``, ``email``,
 ``ssl``, ``socketserver``, ``repro.service``), no process pool
 (``multiprocessing``, ``concurrent``; ``run_many`` imports it only for
 ``jobs > 1``), no planner, tradeoff sweep or other experiment module.
+The CLI imports each subcommand's modules in its handler, so ``repro
+serve`` loads the gateway and no other subcommand's modules.
 
 The test process itself has long since imported all of these, so each
 case runs in a fresh interpreter and reports the modules it loaded.
@@ -65,6 +67,37 @@ _SERVICE = textwrap.dedent(
     status, _, _ = service.tick(3)
     assert status == 200, status
     service.shutdown()
+    """
+)
+
+# ``repro serve`` through the CLI: serve until listening, then stop it
+# the way Ctrl-C does (serve() shuts the service down and returns 0).
+_SERVE_CLI = textwrap.dedent(
+    """
+    import _thread, io, sys, threading, time
+    from repro.cli import main
+
+    class Console(io.StringIO):
+        listening = threading.Event()
+
+        def write(self, text):
+            if text.startswith("listening on"):
+                self.listening.set()
+            return super().write(text)
+
+    def interrupt():
+        if Console.listening.wait(60):
+            time.sleep(0.2)
+            _thread.interrupt_main()
+
+    stdout, sys.stdout = sys.stdout, Console()
+    threading.Thread(target=interrupt, daemon=True).start()
+    code = main(
+        ["serve", "--port", "0", "--scenario", "paper", "--capacity-slots", "50",
+         "--v", "7.5", "--data-dir", sys.argv[1]]
+    )
+    sys.stdout = stdout
+    assert code == 0, code
     """
 )
 
@@ -180,6 +213,28 @@ def test_batch_run_stays_within_import_budget(case):
     loaded = _loaded(code)
     assert experiment is None or experiment in loaded
     assert [m for m in loaded if _off_budget(m, experiment)] == []
+
+
+#: What ``repro serve`` never runs: other subcommands' runner, fault,
+#: analysis, bounds and chaos-drill modules and the eager baselines.
+_NOT_SERVED = (
+    "repro.analysis",
+    "repro.core.bounds",
+    "repro.core.slackness",
+    "repro.faults",
+    "repro.resilient.chaos",
+    "repro.runner.cache",
+    "repro.runner.engine",
+    "repro.runner.result",
+    "repro.schedulers.always",
+    "repro.schedulers.random_dc",
+)
+
+
+def test_serve_subcommand_loads_only_the_gateway(tmp_path):
+    loaded = _loaded(_SERVE_CLI, str(tmp_path / "svc"))
+    assert "repro.service.app" in loaded
+    assert [m for m in loaded if m.startswith(_NOT_SERVED)] == []
 
 
 def test_bare_import_loads_no_submodule():
