@@ -49,6 +49,10 @@ if TYPE_CHECKING:
 
 __all__ = ["main", "build_parser", "ExperimentInfo", "experiment_info"]
 
+#: ``repro.faults.events.FAULT_KINDS``, spelled out so that building the
+#: parser imports no fault module (tests/test_cli.py keeps them equal).
+_FAULT_KINDS = ("outage", "capacity_loss", "stale_price", "partition")
+
 
 # ----------------------------------------------------------------------
 # Experiment registry: name -> module + run metadata.
@@ -681,11 +685,7 @@ def build_parser() -> argparse.ArgumentParser:
     resilience = sub.add_parser(
         "resilience", help="fault drill: inject a fault, report recovery"
     )
-    resilience.add_argument(
-        "--kind",
-        default="outage",
-        help="fault kind (default: outage; the kinds are listed in docs/RESILIENCE.md)",
-    )
+    resilience.add_argument("--kind", choices=_FAULT_KINDS, default="outage")
     resilience.add_argument("--dc", type=int, default=1, help="0-based site index")
     resilience.add_argument("--start", type=int, default=150)
     resilience.add_argument("--duration", type=int, default=60)

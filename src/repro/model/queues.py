@@ -223,19 +223,17 @@ class QueueNetwork:
     # each FIFO ledger as a list of its ``[arrival_slot, count]`` batches,
     # in the order the dict of site ledgers is built in.
     def __getstate__(self) -> dict:
-        return {
-            "_cluster": self._cluster,
-            "_front": self._front.tolist(),
-            "_dc": self._dc.tolist(),
-            "_front_ledger": [list(ledger) for ledger in self._front_ledger],
-            "_dc_ledger": [list(ledger) for ledger in self._dc_ledger.values()],
-            "_stats": self._stats,
-        }
+        state = dict(self.__dict__)
+        state["_front"] = self._front.tolist()
+        state["_dc"] = self._dc.tolist()
+        state["_front_ledger"] = [list(ledger) for ledger in self._front_ledger]
+        state["_dc_ledger"] = [list(ledger) for ledger in self._dc_ledger.values()]
+        return state
 
     def __setstate__(self, state: dict) -> None:
         # Pickles written before the plain form hold the arrays, deques
         # and the dict of site ledgers themselves.
-        self._cluster = state["_cluster"]
+        self.__dict__.update(state)
         self._front = np.array(state["_front"], dtype=np.float64)
         self._dc = np.array(state["_dc"], dtype=np.float64)
         self._front_ledger = [deque(ledger) for ledger in state["_front_ledger"]]
@@ -245,7 +243,6 @@ class QueueNetwork:
             keys = [(i, jj) for i in range(n) for jj in range(j)]
             dc_ledger = {key: deque(ledger) for key, ledger in zip(keys, dc_ledger)}
         self._dc_ledger = dc_ledger
-        self._stats = state["_stats"]
 
     # ------------------------------------------------------------------
     # Read-only views

@@ -18,9 +18,10 @@ File format (``ckpt-v2``), two files side by side:
   counters.  The cluster is static input, not run state: a payload
   names its run's cluster under ``"cluster"``, which is never written;
   every reference to it is written as a token instead, which loading
-  resolves to the cluster the caller passes in (the live scenario's),
-  or else to an :class:`UnboundCluster` stand-in that
-  :func:`bind_cluster` replaces later.
+  resolves to an :class:`UnboundCluster` stand-in.  :func:`bind_cluster`
+  replaces the stand-in with the live scenario's cluster
+  (:meth:`Simulator.restore <repro.simulation.simulator.Simulator.restore>`
+  does so on every resume).
   Writes go to a same-directory temp file followed by
   ``os.replace``, so a crash mid-write leaves the previous snapshot
   intact rather than a torn file.
@@ -54,6 +55,7 @@ the resumed run is bit-identical.
 
 from __future__ import annotations
 
+import copy
 import io
 import os
 import pickle
@@ -90,15 +92,26 @@ DEFAULT_CHECKPOINT_DIR = Path(".repro_cache") / "checkpoints"
 _UNPICKLE_ERRORS = (OSError, pickle.UnpicklingError, EOFError, AttributeError, ValueError)
 
 
-def _scenario_cluster():
-    """The token a snapshot holds in place of its run's cluster.
+class UnboundCluster:
+    """Stands in for the run's cluster in a loaded snapshot.
 
-    Only the checkpoint unpickler resolves it (to the cluster passed to
-    the load); a snapshot read any other way fails here.
+    It has no attributes; :func:`bind_cluster` replaces it with a cluster.
     """
-    raise pickle.UnpicklingError(
-        "this snapshot refers to its run's cluster; load it with that cluster"
-    )
+
+    __slots__ = ()
+
+
+_UNBOUND = UnboundCluster()
+
+
+def _scenario_cluster() -> UnboundCluster:
+    """What the token a snapshot holds in place of its run's cluster loads as."""
+    return _UNBOUND
+
+
+def bind_cluster(obj: Any, cluster: Any) -> Any:
+    """A copy of *obj* that holds *cluster* wherever it held an :class:`UnboundCluster`."""
+    return copy.deepcopy(obj, {id(_UNBOUND): cluster})
 
 
 class _SnapshotPickler(pickle.Pickler):
@@ -114,42 +127,6 @@ class _SnapshotPickler(pickle.Pickler):
         if obj is self._cluster:
             return _scenario_cluster, ()
         return NotImplemented
-
-
-class UnboundCluster:
-    """Stands in for the run's cluster in a snapshot loaded without it.
-
-    It has no attributes; :func:`bind_cluster` replaces it with a cluster.
-    """
-
-    __slots__ = ()
-
-
-_UNBOUND = UnboundCluster()
-
-
-class _SnapshotUnpickler(pickle.Unpickler):
-    """Loads a snapshot, resolving the cluster token to *cluster*.
-
-    Without a cluster the token resolves to an :class:`UnboundCluster`.
-    """
-
-    def __init__(self, file, cluster: Any) -> None:
-        super().__init__(file)
-        self._cluster = _UNBOUND if cluster is None else cluster
-
-    def find_class(self, module: str, name: str) -> Any:
-        if (module, name) == (__name__, "_scenario_cluster"):
-            return lambda: self._cluster
-        return super().find_class(module, name)
-
-
-def bind_cluster(obj: Any, cluster: Any) -> Any:
-    """A copy of *obj* that holds *cluster* wherever it held an :class:`UnboundCluster`."""
-    buffer = io.BytesIO()
-    _SnapshotPickler(buffer, _UNBOUND).dump(obj)
-    buffer.seek(0)
-    return _SnapshotUnpickler(buffer, cluster).load()
 
 
 class CheckpointError(RuntimeError):
@@ -217,7 +194,7 @@ def save_checkpoint(
     *history_len* and *journal_bytes* say how much of the journal beside
     *path* belongs to this snapshot (``None``: the payload has no
     history).  A payload's ``"cluster"`` is not written: references to
-    it are written as a token (see :meth:`Checkpointer.load`).
+    it are written as a token (see :class:`UnboundCluster`).
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -304,13 +281,14 @@ def _unusable(counter: str, path: Path, reason: str) -> CheckpointError:
 
 
 def _read_checkpoint(
-    path: Union[str, Path], key: Optional[str] = None, cluster: Any = None
+    path: Union[str, Path], key: Optional[str] = None
 ) -> Optional[Dict[str, Any]]:
     """The full checkpoint record at *path*, or ``None`` if there is none.
 
     The record's payload carries the journalled rows under
-    ``"history"`` when the snapshot was saved with a history, and
-    *cluster* wherever the saved payload referred to its run's cluster.
+    ``"history"`` when the snapshot was saved with a history, and an
+    :class:`UnboundCluster` wherever the saved payload referred to its
+    run's cluster.
     A file that exists but cannot be resumed — a torn or corrupt
     snapshot or journal, a schema-tag mismatch, or (when *key* is
     given) a key mismatch — raises :class:`CheckpointError` naming the
@@ -319,7 +297,7 @@ def _read_checkpoint(
     path = Path(path)
     try:
         with open(path, "rb") as handle:
-            record = _SnapshotUnpickler(handle, cluster).load()
+            record = pickle.load(handle)
     except FileNotFoundError:
         return None
     except _UNPICKLE_ERRORS as exc:
@@ -347,18 +325,17 @@ def _read_checkpoint(
 
 
 def load_checkpoint(
-    path: Union[str, Path], key: Optional[str] = None, cluster: Any = None
+    path: Union[str, Path], key: Optional[str] = None
 ) -> Optional[Dict[str, Any]]:
     """Load a checkpoint payload; ``None`` if absent, stale or unreadable.
 
     A missing file, a torn/corrupt snapshot or journal, a schema-tag
     mismatch or (when *key* is given) a key mismatch all mean "no
     usable checkpoint": resuming silently falls back to a fresh run
-    rather than crashing or, worse, resuming the wrong run.  Pass the
-    *cluster* the snapshot was saved with (see :meth:`Checkpointer.load`).
+    rather than crashing or, worse, resuming the wrong run.
     """
     try:
-        record = _read_checkpoint(path, key, cluster)
+        record = _read_checkpoint(path, key)
     except CheckpointError:
         return None
     return None if record is None else record["payload"]
@@ -447,24 +424,23 @@ class Checkpointer:
         self._journal = (len(history), offset)
         return path
 
-    def load(self, cluster: Any = None) -> Optional[Dict[str, Any]]:
+    def load(self) -> Optional[Dict[str, Any]]:
         """The saved payload; ``None`` if absent, stale or unreadable.
 
-        Pass the ``"cluster"`` the payload was saved with: the restored
-        objects hold it where the saved ones held the run's cluster.
-        Without one they hold an :class:`UnboundCluster`, which
+        Where the saved objects held the run's cluster, the loaded ones
+        hold an :class:`UnboundCluster`, which
         :meth:`Simulator.restore <repro.simulation.simulator.Simulator.restore>`
         replaces with its scenario's cluster.
         """
         try:
-            return self.load_strict(cluster)
+            return self.load_strict()
         except CheckpointError:
             return None
 
-    def load_strict(self, cluster: Any = None) -> Optional[Dict[str, Any]]:
+    def load_strict(self) -> Optional[Dict[str, Any]]:
         """Like :meth:`load`, but an unusable file raises :class:`CheckpointError`."""
         self._journal = (0, 0)
-        record = _read_checkpoint(self.path, key=self.key, cluster=cluster)
+        record = _read_checkpoint(self.path, key=self.key)
         if record is None:
             return None
         if record["history_len"] is not None:

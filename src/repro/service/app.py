@@ -135,7 +135,7 @@ class SchedulerService:
     # ------------------------------------------------------------------
     def _recover(self) -> None:
         """Resume from checkpoint + write-ahead log (see class docstring)."""
-        payload = self.checkpointer.load_strict(self.state.cluster)
+        payload = self.checkpointer.load_strict()
         horizon_seq = 1
         if payload is not None:
             self.state.restore(payload)

@@ -125,11 +125,14 @@ class Simulator:
 
         The metrics are rebuilt from the ``history`` rows.  A payload
         without ``admission``/``injector`` keeps the instance's own; one
-        without ``dropped`` has dropped nothing.  A payload loaded
-        without its cluster gets the scenario's.
+        without ``dropped`` has dropped nothing.  A loaded checkpoint's
+        objects get the scenario's cluster in place of their
+        :class:`UnboundCluster` (the history rows hold none).
         """
         if isinstance(snapshot["queues"].cluster, UnboundCluster):
-            snapshot = bind_cluster(snapshot, self.scenario.cluster)
+            state = {name: value for name, value in snapshot.items() if name != "history"}
+            snapshot = {**bind_cluster(state, self.scenario.cluster),
+                        "history": snapshot["history"]}
         self.next_slot = int(snapshot["next_slot"])
         self.queues = snapshot["queues"]
         self.metrics = MetricsCollector.from_rows(
@@ -284,7 +287,7 @@ class Simulator:
             )
         if resume and checkpointer is None:
             raise ValueError("resume=True requires a checkpointer")
-        snapshot = checkpointer.load(scenario.cluster) if (checkpointer and resume) else None
+        snapshot = checkpointer.load() if (checkpointer and resume) else None
         if snapshot is None:
             self.reset()
         elif int(snapshot["next_slot"]) > horizon:

@@ -19,6 +19,15 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--scheduler", "magic"])
 
+    def test_resilience_kinds_are_the_fault_kinds(self):
+        from repro import cli
+        from repro.faults.events import FAULT_KINDS
+
+        assert cli._FAULT_KINDS == FAULT_KINDS
+        assert build_parser().parse_args(["resilience", "--kind", "partition"]).kind == "partition"
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["resilience", "--kind", "meteor"])
+
 
 class TestCommands:
     def test_list(self, capsys):
