@@ -17,9 +17,12 @@ invariant families are covered:
 
 Checks are toggled by the ``REPRO_CONTRACTS`` environment variable
 (``1``/``true``/``on``/``yes``) and re-read on every call, so a test can
-flip them with ``monkeypatch.setenv``.  When disabled the decorated hot
-paths pay one dict lookup per slot, nothing more.  The test suite runs
-with contracts on (see ``tests/conftest.py``).
+flip them with ``monkeypatch.setenv``.  When disabled each gate costs one
+``os.environ.get`` of an unset variable, which raises and catches a
+``KeyError`` inside ``os.environ`` (about 1-2 microseconds); a simulated
+slot passes three gates (the queue step, the supervisor and the
+simulator's action check).  The test suite runs with contracts on (see
+``tests/conftest.py``).
 """
 
 from __future__ import annotations

@@ -136,6 +136,24 @@ class FaultInjector:
         self.requeued_jobs = 0.0
         self.eviction_log: list = []  # (event, per-type counts)
 
+    # Pickles hold the per-type counts as lists of floats, as the queue
+    # network's do, so a checkpoint reconstructs no numpy object.
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state["eviction_log"] = [(event, counts.tolist()) for event, counts in self.eviction_log]
+        state["_pending"] = {slot: counts.tolist() for slot, counts in self._pending.items()}
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        # Pickles written before the list form hold the arrays themselves.
+        self.__dict__.update(state)
+        self.eviction_log = [
+            (event, np.array(counts, dtype=np.float64)) for event, counts in state["eviction_log"]
+        ]
+        self._pending = {
+            slot: np.array(counts, dtype=np.float64) for slot, counts in state["_pending"].items()
+        }
+
     @property
     def pending_jobs(self) -> float:
         """Evicted work still waiting for its backoff release."""

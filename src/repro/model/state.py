@@ -44,10 +44,14 @@ class ClusterState(ValueEquality):
     Its queue-independent slot inputs are one row of a
     :class:`~repro.model.environment.SlotEnvironment`
     (:meth:`environment`), a cache left out of pickles and equality.
+    A state built without ``missing_ok`` records that it is complete,
+    so :attr:`has_missing` need not scan it.
     """
 
     availability: np.ndarray
     prices: np.ndarray
+    #: Known to hold no NaN: set when a validated state is built, left out of pickles.
+    _complete = False
 
     def __init__(
         self,
@@ -81,6 +85,7 @@ class ClusterState(ValueEquality):
         price.setflags(write=False)
         object.__setattr__(self, "availability", avail)
         object.__setattr__(self, "prices", price)
+        object.__setattr__(self, "_complete", not missing_ok)
 
     @classmethod
     def _from_trace(
@@ -97,6 +102,7 @@ class ClusterState(ValueEquality):
         state = object.__new__(cls)
         object.__setattr__(state, "availability", availability)
         object.__setattr__(state, "prices", prices)
+        object.__setattr__(state, "_complete", True)
         if table is not None:
             object.__setattr__(state, "_slot", (table, t, table.capacities[t]))
         return state
@@ -131,8 +137,14 @@ class ClusterState(ValueEquality):
 
     @property
     def has_missing(self) -> bool:
-        """True if any signal in this snapshot is missing."""
-        return bool(np.isnan(self.prices).any() or np.isnan(self.availability).any())
+        """True if any signal in this snapshot is missing.
+
+        A validated or trace state is complete by construction; only a
+        ``missing_ok`` or unpickled state is scanned for NaN.
+        """
+        return not self._complete and bool(
+            np.isnan(self.prices).any() or np.isnan(self.availability).any()
+        )
 
     @property
     def num_server_classes(self) -> int:

@@ -252,22 +252,44 @@ class SlotServiceProblem:
         :class:`~repro.model.action.Action` can keep it without a copy.
         """
         out = np.clip(h, 0.0, self.h_upper)
-        # Python floats: at a few sites numpy's per-call cost dominates.
-        scales = [
-            min(1.0, cap / load) if load > cap + _EPS and load > 0 else 1.0
-            for load, cap in zip(self.loads(out).tolist(), self._capacities.tolist())
-        ]
-        cluster = self.cluster
-        if cluster.has_memory_constraints:
-            memory = zip(self.memory_used(out).tolist(), cluster.memory_capacities.tolist())
-            for i, (used, limit) in enumerate(memory):
-                if used > limit + _EPS and used > 0:
-                    scales[i] = min(scales[i], limit / used)
-        for i, scale in enumerate(scales):
+        for i, scale in enumerate(self._site_scales(out, self.loads(out))):
             if scale < 1.0:
                 out[i] *= scale
         out.flags.writeable = False
         return out
+
+    def clip_is_noop(self, h: np.ndarray, loads: np.ndarray) -> bool:
+        """True when :meth:`clip_feasible` would return *h* bit for bit.
+
+        *loads* is ``loads(h)``.  The test is exact: every entry lies in
+        ``[0, h_upper]`` and is not ``-0.0`` (the box turns it into
+        ``+0.0``; ``h_upper`` itself holds no ``-0.0``), and the clip's
+        scale rule shrinks no site.  Such an ``h`` also passes
+        :meth:`is_feasible`, whose box and limits are wider.
+        """
+        if np.signbit(h).any() or not (h <= self.h_upper).all():
+            return False
+        return min(self._site_scales(h, loads), default=1.0) >= 1.0
+
+    def _site_scales(self, h: np.ndarray, loads: np.ndarray) -> List[float]:
+        """The clip's scale rule: each site's shrink factor for boxed *h*.
+
+        *loads* is ``loads(h)``.  A site whose load (or memory use) is
+        positive and over its limit by more than 1e-9 gets
+        ``limit / load`` (the smaller of the two); every other site 1.0.
+        """
+        # Python floats: at a few sites numpy's per-call cost dominates.
+        scales = [
+            min(1.0, cap / load) if load > cap + _EPS and load > 0 else 1.0
+            for load, cap in zip(loads.tolist(), self._capacities.tolist())
+        ]
+        cluster = self.cluster
+        if cluster.has_memory_constraints:
+            memory = zip(self.memory_used(h).tolist(), cluster.memory_capacities.tolist())
+            for i, (used, limit) in enumerate(memory):
+                if used > limit + _EPS and used > 0:
+                    scales[i] = min(scales[i], limit / used)
+        return scales
 
 
 def busy_counts(
@@ -288,24 +310,29 @@ def busy_counts(
     """
     if totals is None:
         totals = supply.sum(axis=1)
-    if np.any(loads < -_WORK_EPS):
-        raise ValueError(f"site loads must be non-negative, got {loads}")
-    over = loads > totals * (1.0 + 1e-9) + 1e-9
-    if np.any(over):
-        i = int(np.argmax(over))
-        raise ValueError(
-            f"requested capacity {loads[i]} exceeds site total {totals[i]} at site {i}"
-        )
     speeds = cluster.speeds.tolist()
     order = cluster.class_order.tolist()
     busy = [[0.0] * len(speeds) for _ in range(supply.shape[0])]
-    for row, caps, load, total in zip(busy, supply.tolist(), loads.tolist(), totals.tolist()):
+    over = None  # the first site over its total; a negative load anywhere wins
+    rows = zip(busy, supply.tolist(), loads.tolist(), totals.tolist())
+    for i, (row, caps, load, total) in enumerate(rows):
+        if load < -_WORK_EPS:
+            raise ValueError(f"site loads must be non-negative, got {loads}")
+        if over is not None:
+            continue
+        if load > total * (1.0 + 1e-9) + 1e-9:
+            over = i
+            continue
         remaining = min(load, total) if load > 0.0 else 0.0  # NaN serves nothing
         for cap, k in zip(caps, order):
             take = min(cap, remaining)
             if take > _WORK_EPS:
                 row[k] = take / speeds[k]
             remaining -= take
+    if over is not None:
+        raise ValueError(
+            f"requested capacity {loads[over]} exceeds site total {totals[over]} at site {over}"
+        )
     # Built directly, not reshaped: a reshape would be a view of a
     # writable array, which an Action copies.
     out = np.array(busy, dtype=np.float64) if busy else np.zeros((0, len(speeds)))

@@ -6,18 +6,21 @@ the horizon.  :class:`SupervisedSolver` wraps the
 :mod:`repro.optimize` backends with that guarantee:
 
 1. run the configured backend once,
-2. check its answer once — right shape, finite, and feasible (at
-   tolerance 1e-6) after one
-   :meth:`~repro.optimize.slot_problem.SlotServiceProblem.clip_feasible`;
-   the check computes the site loads of the clipped answer once and
+2. check its answer once — right shape, finite, then one exact test
+   (:meth:`~repro.optimize.slot_problem.SlotServiceProblem.clip_is_noop`)
+   that :meth:`~repro.optimize.slot_problem.SlotServiceProblem.clip_feasible`
+   would leave it unchanged.  An answer that passes is accepted as is;
+   any other is clipped once and must be feasible (at tolerance 1e-6).
+   The check computes the site loads of the accepted answer once and
    hands them on with it (:attr:`SolveOutcome.loads`),
 3. on any failure, record a structured :class:`SolverIncident` and
    degrade down an explicit fallback chain, e.g. ``lp -> greedy ->
    zero``.
 
 A clip that alters a backend's finite answer is counted as
-``resilient.clip.changed``.  Only with ``REPRO_CONTRACTS=1`` is the
-clipped answer re-clipped to check ``clip_feasible`` is idempotent.
+``resilient.clip.changed``.  Only with ``REPRO_CONTRACTS=1`` is every
+accepted answer re-clipped to check ``clip_feasible`` is idempotent, and
+an answer the exact test accepted also run through ``is_feasible``.
 
 The terminal ``"zero"`` backend returns the all-zeros service matrix,
 which is feasible for every slot problem, so the chain cannot run dry.
@@ -261,12 +264,14 @@ class SupervisedSolver:
 
     # ------------------------------------------------------------------
     def _attempt(self, problem, backend):
-        """One backend attempt: run, clip, check.
+        """One backend attempt: run, check, clip if need be.
 
-        The one check of a backend result: shape, finite, one
-        ``clip_feasible`` and one ``is_feasible`` at its default
-        tolerance of 1e-6.  Returns the clipped ``h`` and its read-only
-        site loads on success, a :class:`_Failure` otherwise.
+        The one check of a backend result: shape, finite, then one exact
+        test that ``clip_feasible`` would leave it unchanged.  A result
+        that passes is accepted as a sealed copy; any other is clipped
+        and must pass ``is_feasible`` at its default tolerance of 1e-6.
+        Returns ``h`` and its read-only site loads on success, a
+        :class:`_Failure` otherwise.
         """
         try:
             raw = backend(problem)
@@ -282,17 +287,24 @@ class SupervisedSolver:
             )
         if not np.isfinite(raw).all():
             return _Failure("non-finite", "backend returned NaN/Inf entries")
-        h = problem.clip_feasible(raw)
-        if (h != raw).any():
-            stats_registry().counter_add("resilient.clip.changed")
+        h = raw.copy()  # the backend may still hold raw
         loads = problem.loads(h)
+        exact = problem.clip_is_noop(h, loads)
+        if exact:
+            h.flags.writeable = False
+        else:
+            h = problem.clip_feasible(raw)
+            if (h != raw).any():
+                stats_registry().counter_add("resilient.clip.changed")
+            loads = problem.loads(h)
+            if not problem.is_feasible(h, loads=loads):
+                return _Failure("infeasible", "clipped solution violates constraints")
         loads.flags.writeable = False
-        if not problem.is_feasible(h, loads=loads):
-            return _Failure("infeasible", "clipped solution violates constraints")
-        if contracts_enabled() and not np.allclose(
-            problem.clip_feasible(h), h, rtol=0.0, atol=1e-9
-        ):
-            raise ContractViolation("clip_feasible is not idempotent here")
+        if contracts_enabled():
+            if exact and not problem.is_feasible(h, loads=loads):
+                raise ContractViolation("an answer the clip leaves unchanged is infeasible")
+            if not np.allclose(problem.clip_feasible(h), h, rtol=0.0, atol=1e-9):
+                raise ContractViolation("clip_feasible is not idempotent here")
         return h, loads
 
     def _record(self, call_incidents, incident: SolverIncident) -> None:

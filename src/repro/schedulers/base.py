@@ -123,11 +123,11 @@ class Scheduler(ABC):
         """
         availability = state.availability
         prices = state.prices
-        miss_a = np.isnan(availability)
-        miss_p = np.isnan(prices)
-        if not (miss_a.any() or miss_p.any()):
+        if not state.has_missing:
             self._last_good_state = (availability, prices)
             return state
+        miss_a = np.isnan(availability)
+        miss_p = np.isnan(prices)
         last = getattr(self, "_last_good_state", None)
         if last is None:
             finite = prices[~miss_p]

@@ -260,3 +260,22 @@ def test_batch_checkpoint_holds_run_state_only(tmp_path):
         sim.run(checkpointer=checkpointer)
     path = checkpointer.path
     _assert_lean(path.read_bytes(), journal_path(path).read_bytes())
+
+
+def test_faulted_batch_checkpoint_holds_run_state_only(tmp_path):
+    # An outage three slots before the kill leaves evicted work pending
+    # re-admission in the snapshot.
+    scenario = small_scenario(horizon=60, seed=3)
+    outage = FaultEvent("outage", dc=1, start=KILL_AT - 3, duration=8)
+    checkpointer = Checkpointer(key="faulted", every=10, kill_at=KILL_AT, directory=tmp_path)
+    sim = Simulator(
+        scenario,
+        GreFarScheduler(scenario.cluster, v=5.0),
+        injector=FaultInjector(scenario.cluster, FaultSchedule((outage,))),
+    )
+    with pytest.raises(SimulationKilled):
+        sim.run(checkpointer=checkpointer)
+    injector = checkpointer.load()["injector"]
+    assert injector.eviction_log and injector._pending
+    path = checkpointer.path
+    _assert_lean(path.read_bytes(), journal_path(path).read_bytes())

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -18,10 +20,19 @@ from repro.faults.events import FAULT_KINDS
 from repro.model.action import Action
 from repro.model.queues import QueueNetwork
 from repro.model.state import ClusterState
+from repro.resilient.guards import sanitize_state
 from repro.scenarios import small_scenario
 from repro.schedulers import AlwaysScheduler
 from repro.simulation.simulator import Simulator
 from repro.workloads import apply_capacity_faults, apply_price_faults
+from tests.oracles.slot_checks import ScanningFill
+
+
+def _restored(cls, state: dict):
+    """An instance of *cls* unpickled from *state*."""
+    obj = cls.__new__(cls)
+    obj.__setstate__(state)
+    return obj
 
 
 def _zero_action(cluster) -> Action:
@@ -292,6 +303,47 @@ class TestPrepareState:
         assert filled.prices[0] == pytest.approx(0.5)
 
 
+    def test_fills_as_a_scan_of_every_state_would(self):
+        # Trace and ground-truth states, observed states from the injector
+        # and the guards (missing_ok), and unpickled copies of them.
+        scenario = small_scenario(horizon=40, seed=3)
+        schedule = FaultSchedule(
+            (
+                FaultEvent("stale_price", dc=0, start=3, duration=6),
+                FaultEvent("partition", dc=1, start=12, duration=5),
+                FaultEvent("outage", dc=1, start=20, duration=4),
+                FaultEvent("capacity_loss", dc=0, start=26, duration=4, severity=0.5),
+            )
+        )
+        injector = FaultInjector(scenario.cluster, schedule)
+        states = []
+        for t in range(40):
+            trace = scenario.state_at(t)
+            truth = injector.true_state(t, trace)
+            observed = injector.observed_state(t, truth)
+            states += [trace, truth, observed, pickle.loads(pickle.dumps(observed))]
+            if t % 5 == 0:
+                bad = np.array(truth.availability)
+                bad[t % 2, 0] = np.inf
+                held, _ = sanitize_state(bad, truth.prices, policy="hold")
+                clean, _ = sanitize_state(truth.availability, truth.prices)
+                states += [held, pickle.loads(pickle.dumps(held)), clean]
+        fast = GreFarScheduler(scenario.cluster, v=1.0)
+        scan = ScanningFill()
+        for state in states:
+            missing = bool(np.isnan(state.availability).any() or np.isnan(state.prices).any())
+            assert state.has_missing == missing
+            filled = fast.prepare_state(state)
+            expected = scan.prepare_state(state)
+            assert (filled is state) == (expected is state) == (not missing)
+            for name in ("availability", "prices"):
+                got, want = getattr(filled, name), getattr(expected, name)
+                assert got.tobytes() == want.tobytes()
+                np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+            assert not filled.has_missing
+        assert any(state.has_missing for state in states)
+
+
 class TestRequeuePolicy:
     def test_default_offsets_are_exponential(self):
         assert RequeuePolicy().offsets() == (1, 2, 4, 8)
@@ -411,6 +463,36 @@ class TestInjectorOutage:
         np.testing.assert_allclose(total, [4.0, 3.0])
         assert injector.requeued_jobs == pytest.approx(7.0)
         assert injector.pending_jobs == 0.0
+
+    def test_pickles_hold_counts_as_lists(self, cluster):
+        queues = QueueNetwork(cluster)
+        queues.step(_zero_action(cluster), np.array([4.0, 3.0]), 0)
+        route = np.zeros((2, 2))
+        route[1] = [4.0, 3.0]
+        queues.step(Action(route, np.zeros((2, 2)), np.zeros((2, 2))), np.zeros(2), 1)
+        injector = FaultInjector(cluster, FaultSchedule.single_outage(dc=1, start=2, duration=5))
+        injector.begin_slot(2, queues)
+        assert injector.eviction_log and injector._pending
+
+        state = injector.__getstate__()
+        assert all(type(counts) is list for _, counts in state["eviction_log"])
+        assert all(type(counts) is list for counts in state["_pending"].values())
+        # Today's pickles and older ones, which hold the arrays, load alike.
+        for restored in (
+            pickle.loads(pickle.dumps(injector)),
+            _restored(FaultInjector, dict(injector.__dict__)),
+        ):
+            assert [event for event, _ in restored.eviction_log] == [
+                event for event, _ in injector.eviction_log
+            ]
+            for (_, counts), (_, original) in zip(restored.eviction_log, injector.eviction_log):
+                assert counts.dtype == np.float64
+                np.testing.assert_array_equal(counts, original)
+            assert list(restored._pending) == list(injector._pending)
+            for slot, counts in restored._pending.items():
+                assert counts.dtype == np.float64
+                np.testing.assert_array_equal(counts, injector._pending[slot])
+            assert restored.pending_jobs == injector.pending_jobs
 
     def test_outage_drill_end_to_end(self):
         scenario = small_scenario(horizon=120, seed=3)

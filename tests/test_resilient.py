@@ -255,6 +255,31 @@ def test_non_idempotent_clip_is_a_contract_violation(monkeypatch):
     assert outcome.backend == "greedy" and not outcome.degraded
 
 
+def test_only_clipped_answers_meet_is_feasible_without_contracts(monkeypatch):
+    # An answer the clip leaves unchanged is feasible by construction: it is
+    # run through is_feasible only under REPRO_CONTRACTS=1.  A clipped one
+    # is run through it in either mode.
+    problem = random_problem(11)
+    calls = []
+
+    def refusing(self, h, tol=1e-6, loads=None):
+        calls.append(tol)
+        return False
+
+    monkeypatch.setattr(SlotServiceProblem, "is_feasible", refusing)
+    monkeypatch.setenv("REPRO_CONTRACTS", "0")
+    outcome = SupervisedSolver().solve(problem, primary="greedy")
+    assert outcome.backend == "greedy" and not outcome.incidents
+    assert calls == []
+    outcome = SupervisedSolver(chain=(_oversized, "zero")).solve(problem)
+    assert outcome.backend == "zero"
+    assert [incident.reason for incident in outcome.incidents] == ["infeasible"]
+    assert calls == [1e-6]
+    monkeypatch.setenv("REPRO_CONTRACTS", "1")
+    with pytest.raises(ContractViolation, match="leaves unchanged is infeasible"):
+        SupervisedSolver().solve(problem, primary="greedy")
+
+
 # ----------------------------------------------------------------------
 # Typed SolverFailure from the real LP backend
 # ----------------------------------------------------------------------

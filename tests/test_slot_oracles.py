@@ -4,16 +4,21 @@ Each property draws a random cluster (outage sites, coefficient ties,
 ingress costs, memory limits, small routing bounds) and one slot's
 queues, prices and candidate decisions, then compares the code in
 ``src/`` with the loop it replaced (``tests/oracles/slot_loops.py``, and
-``tests/oracles/frank_wolfe_loop.py`` for the beta > 0 solve): equal
-values and equal signs of zero.
+``tests/oracles/frank_wolfe_loop.py`` for the beta > 0 solve, and
+``tests/oracles/slot_checks.py`` for the supervisor's check of a backend
+answer and the busy-count checks): equal values and equal signs of zero,
+and the same failures, messages and counters.
 """
 
 import dataclasses
+import os
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro._contracts import ContractViolation
 from repro.core.grefar import GreFarScheduler
 from repro.fairness import AlphaFairness, JainFairness, MaxMinFairness, QuadraticFairness
 from repro.model.action import Action
@@ -25,11 +30,13 @@ from repro.model.server import ServerClass
 from repro.model.state import ClusterState
 from repro.optimize import SlotServiceProblem, SolverFailure
 from repro.obs.registry import stats_registry
-from repro.optimize.greedy import greedy_walk, walk_inputs
+from repro.optimize.greedy import greedy_walk, solve_greedy, walk_inputs
 from repro.optimize.qp import frank_wolfe
 from repro.optimize.slot_problem import busy_counts, supply_matrix
+from repro.resilient.supervisor import SupervisedSolver
 from repro.schedulers.base import routable_sites, route_greedily
 from tests.oracles.frank_wolfe_loop import frank_wolfe as frank_wolfe_loop
+from tests.oracles.slot_checks import ClipThenCheckSupervisor, busy_counts_array_checks
 from tests.oracles.slot_loops import (
     account_work_add_at,
     busy_counts_columns,
@@ -329,3 +336,150 @@ def solve_counted(solve, problem, max_iterations, tolerance):
     except SolverFailure as exc:
         return str(exc)
     return h, gap, steps, stats.counter("solve.qp.capped") - before
+
+
+# ----------------------------------------------------------------------
+# The supervisor's one check and busy_counts' in-loop checks
+# ----------------------------------------------------------------------
+def _nudged(value, ulps):
+    """*value* moved *ulps* representable doubles up (or down)."""
+    for _ in range(abs(ulps)):
+        value = np.nextafter(value, np.inf if ulps > 0 else -np.inf)
+    return value
+
+
+def _at_limit(h, used, limit, offset):
+    """*h* with each site's row scaled so its *used* lands near ``limit + 1e-9``."""
+    hit = (used > 0) & np.isfinite(limit)
+    target = _nudged(limit + 1e-9, offset)
+    return h * np.where(hit, target / np.where(hit, used, 1.0), 1.0)[:, np.newaxis]
+
+
+@st.composite
+def raw_answers(draw, problem):
+    """A backend answer: healthy, at the box or limit edges, -0.0, NaN/inf, misshapen."""
+    upper = problem.h_upper
+    shape = upper.shape
+    kind = draw(
+        st.sampled_from(
+            ["greedy", "box", "upper", "upper", "negzero", "capacity", "memory", "drawn",
+             "nonfinite", "shape"]
+        )
+    )
+    cells = shape[0] * shape[1]
+    fractions = st.lists(
+        st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=cells, max_size=cells
+    ).map(lambda values: np.array(values).reshape(shape))
+    # A multiple of h_upper, or its clip: a feasible answer near the edges.
+    base = upper * draw(fractions)
+    if kind == "upper" or draw(st.booleans()):
+        base = np.array(problem.clip_feasible(base))
+    if kind == "greedy":
+        raw = solve_greedy(problem)
+    elif kind == "box":
+        raw = base
+    elif kind == "upper":
+        # Some entries at h_upper (ineligible zeros included) moved one ulp,
+        # all up or all down.
+        step = draw(st.sampled_from([-1, 1]))
+        picked = draw(st.lists(st.booleans(), min_size=cells, max_size=cells))
+        nudged = [
+            _nudged(value, step if pick else 0)
+            for value, pick in zip(upper.ravel().tolist(), picked)
+        ]
+        raw = np.where(base == upper, np.reshape(nudged, shape), base)
+    elif kind == "negzero":
+        raw = np.where(base == 0.0, -0.0, base)
+    elif kind in ("capacity", "memory"):
+        if kind == "capacity":
+            used, limit = problem.loads(base), problem.site_capacities()
+        else:
+            used, limit = problem.memory_used(base), problem.cluster.memory_capacities
+        raw = _at_limit(base, used, limit, draw(st.integers(-2, 2)))
+    elif kind == "drawn":
+        raw = draw(service_matrices(shape))
+    elif kind == "nonfinite":
+        raw = np.array(upper)
+        raw.flat[draw(st.integers(0, cells - 1))] = draw(
+            st.sampled_from([np.nan, np.inf, -np.inf])
+        )
+    else:
+        raw = np.zeros(draw(st.sampled_from([(shape[0], shape[1] + 1), (cells,), (0,)])))
+    form = draw(st.sampled_from(["array", "array", "fortran", "list"]))
+    if form == "fortran":
+        return np.asfortranarray(raw)
+    return raw.tolist() if form == "list" else raw
+
+
+def supervise(supervisor_type, problem, raw):
+    """``(outcome or ContractViolation text, resilient.clip.changed increment)``."""
+
+    def answer(_problem):
+        return raw
+
+    stats = stats_registry()
+    before = stats.counter("resilient.clip.changed")
+    try:
+        outcome = supervisor_type(chain=(answer, "greedy", "zero")).solve(problem, slot=7)
+    except ContractViolation as exc:
+        outcome = str(exc)
+    return outcome, stats.counter("resilient.clip.changed") - before
+
+
+@settings(max_examples=400, deadline=None)
+@given(slots(), st.data(), st.booleans())
+def test_supervised_attempt_matches_clip_then_check(slot, data, contracts):
+    problem = problem_for(slot)
+    raw = data.draw(raw_answers(problem))
+    kept = np.array(raw, dtype=np.float64)
+    with mock.patch.dict(os.environ, {"REPRO_CONTRACTS": "1" if contracts else "0"}):
+        fast, fast_changed = supervise(SupervisedSolver, problem, raw)
+        slow, slow_changed = supervise(ClipThenCheckSupervisor, problem, raw)
+    assert fast_changed == slow_changed
+    if isinstance(slow, str):
+        assert fast == slow
+        return
+    assert_bits_equal(fast.h, slow.h)
+    assert_bits_equal(fast.loads, slow.loads)
+    assert not fast.h.flags.writeable and not fast.loads.flags.writeable
+    assert (fast.backend, fast.degraded) == (slow.backend, slow.degraded)
+    assert fast.incidents == slow.incidents
+    # The backend's own array is neither frozen nor changed.
+    if isinstance(raw, np.ndarray):
+        assert raw.flags.writeable
+        assert raw.tobytes() == kept.tobytes()
+
+
+def site_loads(total):
+    """One site's load: served, negative, NaN, or either side of the over-total cut."""
+    over = total * (1.0 + 1e-9) + 1e-9
+    return st.one_of(
+        st.sampled_from([0.0, -0.0, 0.3 * total, total, np.nan, np.inf, -1.0]),
+        st.integers(-1, 1).map(lambda ulps: _nudged(over, ulps)),
+        st.integers(-1, 1).map(lambda ulps: _nudged(-1e-12, ulps)),
+    )
+
+
+def busy_or_error(busy, cluster, supply, loads, totals):
+    try:
+        return busy(cluster, supply, loads, totals)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(slots(), st.data(), st.booleans())
+def test_busy_counts_checks_match_array_checks(slot, data, pass_totals):
+    cluster = slot["cluster"]
+    supply = supply_matrix(cluster, slot["state"].availability)
+    totals = supply.sum(axis=1)
+    loads = np.array([data.draw(site_loads(total)) for total in totals.tolist()])
+    given_totals = totals if pass_totals else None
+    fast = busy_or_error(busy_counts, cluster, supply, loads, given_totals)
+    slow = busy_or_error(busy_counts_array_checks, cluster, supply, loads, given_totals)
+    assert type(fast) is type(slow)
+    if isinstance(slow, str):
+        assert fast == slow
+        return
+    assert_bits_equal(fast, slow)
+    assert not fast.flags.writeable
