@@ -536,8 +536,8 @@ def _cmd_serve(args) -> int:
     and per-account rate limits, ticks GreFar on a wall-clock slot
     schedule (or manual ``POST /v1/admin/tick`` when ``--slot-seconds``
     is omitted), checkpoints every completed slot batch, and with
-    ``--resume`` restarts from the last ckpt-v2 checkpoint (fixed-size
-    snapshot + per-slot history journal) without losing any acknowledged
+    ``--resume`` restarts from the last ckpt-v3 checkpoint (two snapshot
+    slots + per-slot history journal) without losing any acknowledged
     submission; a checkpoint it cannot use (an older schema, a corrupt
     file) is refused with an error rather than restarted at slot 0.
     """
@@ -809,9 +809,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="ckpt-v2 checkpoint after every N completed slots (new "
-        "slots appended to the history journal, fixed-size snapshot "
-        "replaced)",
+        help="ckpt-v3 checkpoint after every N completed slots (new "
+        "slots appended to the history journal, the older of two "
+        "snapshot slots rewritten in place)",
     )
     serve.add_argument(
         "--data-dir",

@@ -44,6 +44,7 @@ __all__, __getattr__, __dir__ = _export_table(
         "journal_path": ".checkpoint",
         "load_checkpoint": ".checkpoint",
         "save_checkpoint": ".checkpoint",
+        "snapshot_slots": ".checkpoint",
         "GUARD_POLICIES": ".guards",
         "GuardIncident": ".guards",
         "GuardViolation": ".guards",

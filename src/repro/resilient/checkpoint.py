@@ -1,4 +1,4 @@
-"""Crash-safe checkpointing: a fixed-size snapshot plus a history journal.
+"""Crash-safe checkpointing: two in-place snapshot slots plus a history journal.
 
 A killed process must not lose a long horizon.  The simulator
 periodically saves its mid-run state under
@@ -8,9 +8,13 @@ to an uninterrupted run: the restored state is exactly the state the
 uninterrupted run had at that slot, and everything downstream is
 deterministic.
 
-File format (``ckpt-v2``), two files side by side:
+File format (``ckpt-v3``), three files side by side:
 
-* ``<key>.ckpt`` — the **snapshot**, one pickle of ``{"schema":
+* ``<key>.ckpt`` and ``<key>.ckpt.1`` — the two **snapshot slots**
+  (:func:`snapshot_slots`).  Each holds one record: a 28-byte header
+  (magic ``b"GFckpt3\\n"``, sequence number, payload length and CRC-32,
+  little-endian ``<8sQQI``; the CRC covers the first three fields and
+  the payload) followed by the payload, one pickle of ``{"schema":
   CHECKPOINT_SCHEMA, "key": ..., "payload": {...}, "history_len": n,
   "journal_bytes": b}``.  The payload is the fixed-size run state: queue
   network, scheduler (including any RNG state, e.g. the random-routing
@@ -22,9 +26,6 @@ File format (``ckpt-v2``), two files side by side:
   replaces the stand-in with the live scenario's cluster
   (:meth:`Simulator.restore <repro.simulation.simulator.Simulator.restore>`
   does so on every resume).
-  Writes go to a same-directory temp file followed by
-  ``os.replace``, so a crash mid-write leaves the previous snapshot
-  intact rather than a torn file.
 * ``<key>.hist`` — the append-only **history journal**: the per-slot
   rows (one per completed slot), as a sequence of pickle frames.  A
   payload's ``"history"`` entry (a :class:`ColumnHistory`) is never
@@ -32,12 +33,29 @@ File format (``ckpt-v2``), two files side by side:
   since the previous save, so a save costs the same at slot 100 as at
   slot 10,000.
 
-A save appends to the journal first and replaces the snapshot second.
-The snapshot records how many rows (``history_len``) and bytes
-(``journal_bytes``) of the journal belong to it, so a crash between the
-two steps leaves a journal tail the snapshot does not claim: loading
-ignores it and the next append overwrites it.  A journal shorter than
-the snapshot claims is corrupt.
+A :class:`Checkpointer` opens its files at its first save and
+keeps them open, so later saves make no open, create or rename.  A
+save appends to the journal first, then rewrites the slot holding the
+older snapshot in place, header and payload in one write, under the
+next sequence number; a slot left longer than its new record is
+truncated to it.  Loading reads both slots and takes the highest
+sequence whose length and CRC check.  A crash mid-write can therefore
+tear only the slot being written: the other slot keeps the previous
+snapshot.  Each snapshot records how many rows (``history_len``) and
+bytes (``journal_bytes``) of the journal belong to it, so the rows a
+crashed save appended are a tail no snapshot claims: loading ignores
+it and the next append overwrites it.  A journal shorter than the
+snapshot claims is corrupt.  Nothing is ``fsync``-ed: the guarantee
+is against a process crash, not a power loss.
+
+A fresh checkpointer's first save empties both slots before it writes,
+so an older run's snapshot can never be loaded after it; a slot torn in
+that first save, beside an empty one, reads as no checkpoint.  After a
+load, saves continue from the loaded snapshot's sequence number into
+the other slot.  A ``ckpt-v2`` snapshot (one bare pickle at
+``<key>.ckpt``, written through a temp file and ``os.replace``) still
+loads when neither slot holds a record; nothing writes that layout any
+more.
 
 A schema-tag or key mismatch, a torn snapshot or a short journal on
 load is treated as "no checkpoint" (:meth:`Checkpointer.load` returns
@@ -56,9 +74,12 @@ the resumed run is bit-identical.
 from __future__ import annotations
 
 import copy
+import glob
 import io
 import os
 import pickle
+import struct
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -79,11 +100,21 @@ __all__ = [
     "journal_path",
     "load_checkpoint",
     "save_checkpoint",
+    "snapshot_slots",
 ]
 
-#: Bump whenever the snapshot payload layout changes; mismatching
-#: checkpoints are ignored, never migrated.
-CHECKPOINT_SCHEMA = "ckpt-v2"
+#: Bump whenever the snapshot layout changes; mismatching checkpoints
+#: are ignored, never migrated.
+CHECKPOINT_SCHEMA = "ckpt-v3"
+
+#: The one older layout that still loads: a bare pickle at ``<key>.ckpt``.
+_V2_SCHEMA = "ckpt-v2"
+
+#: A snapshot slot's header: magic, sequence number, payload length,
+#: then the CRC-32 of those three fields and the payload.
+_MAGIC = b"GFckpt3\n"
+_PREFIX = struct.Struct("<8sQQ")
+_HEADER = struct.Struct("<8sQQI")
 
 #: Checkpoints live next to the result cache.
 DEFAULT_CHECKPOINT_DIR = Path(".repro_cache") / "checkpoints"
@@ -170,11 +201,17 @@ class ColumnHistory:
 def checkpoint_path(
     key: str, directory: Union[str, Path, None] = None
 ) -> Path:
-    """Where the checkpoint snapshot for cache-key *key* lives."""
+    """Where the checkpoint for cache-key *key* lives: its first snapshot slot."""
     if not key:
         raise ValueError("checkpointing requires a non-empty run key")
     base = Path(directory) if directory is not None else DEFAULT_CHECKPOINT_DIR
     return base / f"{key}.ckpt"
+
+
+def snapshot_slots(path: Union[str, Path]) -> Tuple[Path, Path]:
+    """The two snapshot slot files of the checkpoint at *path*."""
+    path = Path(path)
+    return path, path.with_name(path.name + ".1")
 
 
 def journal_path(path: Union[str, Path]) -> Path:
@@ -182,33 +219,18 @@ def journal_path(path: Union[str, Path]) -> Path:
     return Path(path).with_suffix(".hist")
 
 
-def save_checkpoint(
-    path: Union[str, Path],
-    key: str,
-    payload: Dict[str, Any],
-    history_len: Optional[int] = None,
-    journal_bytes: int = 0,
-) -> Path:
-    """Atomically write the snapshot *payload* under the current schema tag.
-
-    *history_len* and *journal_bytes* say how much of the journal beside
-    *path* belongs to this snapshot (``None``: the payload has no
-    history).  A payload's ``"cluster"`` is not written: references to
-    it are written as a token (see :class:`UnboundCluster`).
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return _write_snapshot(path, key, payload, history_len, journal_bytes)
-
-
-def _write_snapshot(
-    path: Path,
+def _encode(
+    sequence: int,
     key: str,
     payload: Dict[str, Any],
     history_len: Optional[int],
     journal_bytes: int,
-) -> Path:
-    """:func:`save_checkpoint` into an existing directory."""
+) -> memoryview:
+    """One snapshot slot's bytes: the header, then the record's pickle.
+
+    A payload's ``"cluster"`` is not written: references to it are
+    written as a token (see :class:`UnboundCluster`).
+    """
     cluster = payload.get("cluster")
     if cluster is not None:
         payload = {name: value for name, value in payload.items() if name != "cluster"}
@@ -219,42 +241,156 @@ def _write_snapshot(
         "history_len": history_len,
         "journal_bytes": int(journal_bytes),
     }
-    tmp = path.with_suffix(f".tmp.{os.getpid()}")
-    try:
-        with open(tmp, "wb") as handle:
-            _SnapshotPickler(handle, cluster).dump(record)
-        os.replace(tmp, path)
-    except (OSError, pickle.PicklingError) as exc:
-        try:
-            tmp.unlink()
-        except OSError:
-            pass
-        raise CheckpointError(f"could not write checkpoint {path}: {exc}") from exc
-    stats_registry().counter_add("resilient.checkpoint.saves")
-    return path
+    buffer = io.BytesIO()
+    buffer.seek(_HEADER.size)
+    _SnapshotPickler(buffer, cluster).dump(record)
+    frame = buffer.getbuffer()
+    length = len(frame) - _HEADER.size
+    crc = zlib.crc32(frame[_HEADER.size :], zlib.crc32(_PREFIX.pack(_MAGIC, sequence, length)))
+    _HEADER.pack_into(frame, 0, _MAGIC, sequence, length, crc)
+    return frame
 
 
-def _append_rows(path: Path, rows: list, offset: int) -> int:
-    """Write *rows* as one pickle frame at byte *offset*; the new length.
+def _decode(data: bytes) -> Tuple[int, memoryview]:
+    """The sequence number and record pickle of one slot's bytes.
 
-    Whatever lay beyond *offset* (a tail no snapshot claims) is cut off
-    first.
+    Raises ``ValueError`` when the slot holds no whole record: no
+    header, fewer payload bytes than the header claims, or a CRC
+    mismatch.
     """
-    try:
-        with open(path, "r+b" if offset else "wb") as handle:
-            end = handle.seek(0, os.SEEK_END)
-            if end < offset:
+    if not data.startswith(_MAGIC) or len(data) < _HEADER.size:
+        raise ValueError("no snapshot header")
+    _, sequence, length, crc = _HEADER.unpack_from(data)
+    view = memoryview(data)
+    body = view[_HEADER.size : _HEADER.size + length]
+    if len(body) < length:
+        raise ValueError(f"{len(body)} of {length} payload bytes")
+    if zlib.crc32(body, zlib.crc32(view[: _PREFIX.size])) != crc:
+        raise ValueError("CRC mismatch")
+    return sequence, body
+
+
+def _open_in_place(path: Path):
+    """*path* open for reads and in-place writes, created if absent."""
+    return open(os.open(path, os.O_RDWR | os.O_CREAT, 0o666), "r+b", buffering=0)
+
+
+def _write_at(handle, data, offset: int) -> None:
+    """Write all of *data* at byte *offset* of the unbuffered *handle*."""
+    handle.seek(offset)
+    view = memoryview(data)
+    while view:
+        view = view[handle.write(view) :]
+
+
+class _OpenFiles:
+    """A checkpoint's two snapshot slots and journal, held open across saves.
+
+    *newest* is the ``(sequence, slot)`` of the snapshot on disk to keep:
+    the next save goes to the other slot under the next sequence number.
+    ``None`` empties both slots first, so a fresh run never leaves an
+    older run's snapshot behind to be loaded.  The files are closed when
+    the object is collected.
+    """
+
+    def __init__(self, path: Path, newest: Optional[Tuple[int, int]]) -> None:
+        self.slots: list = []
+        self.journal = None
+        self.paths = snapshot_slots(path)
+        self.journal_path = journal_path(path)
+        self.journal_end = 0
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            for slot in self.paths:
+                self.slots.append(_open_in_place(slot))
+                if newest is None:
+                    self.slots[-1].truncate(0)
+            self.sizes = [handle.seek(0, os.SEEK_END) for handle in self.slots]
+        except OSError as exc:
+            self.close()
+            raise CheckpointError(f"could not open checkpoint {path}: {exc}") from exc
+        self.newest = newest
+
+    def append(self, rows: list, offset: int) -> int:
+        """Write *rows* as one pickle frame at journal byte *offset*; the new length.
+
+        Whatever lay beyond *offset* (a tail no snapshot claims) is cut
+        off first.
+        """
+        try:
+            if self.journal is None:
+                self.journal = _open_in_place(self.journal_path)
+                self.journal_end = self.journal.seek(0, os.SEEK_END)
+            if self.journal_end < offset:
                 raise CheckpointError(
-                    f"history journal {path} is shorter than its snapshot claims"
+                    f"history journal {self.journal_path} is shorter than its snapshot claims"
                 )
-            if end > offset:
-                handle.seek(offset)
-                handle.truncate()
-            pickle.dump(rows, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            handle.flush()
-            return handle.tell()
-    except (OSError, pickle.PicklingError) as exc:
-        raise CheckpointError(f"could not append to {path}: {exc}") from exc
+            frame = pickle.dumps(rows, protocol=pickle.HIGHEST_PROTOCOL)
+            if self.journal_end > offset:
+                self.journal.truncate(offset)
+            _write_at(self.journal, frame, offset)
+        except (OSError, pickle.PicklingError) as exc:
+            raise CheckpointError(f"could not append to {self.journal_path}: {exc}") from exc
+        self.journal_end = offset + len(frame)
+        return self.journal_end
+
+    def write_snapshot(self, index: int, frame: memoryview) -> Path:
+        """Rewrite slot *index* with *frame* in place; its path."""
+        handle = self.slots[index]
+        _write_at(handle, frame, 0)
+        if self.sizes[index] > len(frame):
+            handle.truncate(len(frame))
+        self.sizes[index] = len(frame)
+        return self.paths[index]
+
+    def save(
+        self,
+        key: str,
+        payload: Dict[str, Any],
+        history_len: Optional[int],
+        journal_bytes: int,
+    ) -> Path:
+        """Write the snapshot into the other slot than the newest; its path."""
+        sequence, newest = self.newest or (0, 1)
+        try:
+            frame = _encode(sequence + 1, key, payload, history_len, journal_bytes)
+            written = self.write_snapshot(1 - newest, frame)
+        except (OSError, pickle.PicklingError) as exc:
+            raise CheckpointError(f"could not write checkpoint {self.paths[0]}: {exc}") from exc
+        self.newest = (sequence + 1, 1 - newest)
+        stats_registry().counter_add("resilient.checkpoint.saves")
+        return written
+
+    def close(self) -> None:
+        for handle in (*self.slots, self.journal):
+            if handle is not None:
+                handle.close()
+        self.slots, self.journal = [], None
+
+    __del__ = close
+
+
+def save_checkpoint(
+    path: Union[str, Path],
+    key: str,
+    payload: Dict[str, Any],
+    history_len: Optional[int] = None,
+    journal_bytes: int = 0,
+) -> Path:
+    """Replace the checkpoint at *path* with the snapshot *payload*; its slot's path.
+
+    Like a fresh :class:`Checkpointer`'s first save, this empties both
+    snapshot slots, then writes the first.  *history_len* and
+    *journal_bytes* say how much of the journal beside *path* belongs to
+    this snapshot (``None``: the payload has no history).  A payload's
+    ``"cluster"`` is not written: references to it are written as a
+    token (see :class:`UnboundCluster`).
+    """
+    files = _OpenFiles(Path(path), None)
+    try:
+        return files.save(key, payload, history_len, journal_bytes)
+    finally:
+        files.close()
 
 
 def _read_rows(path: Path, size: int, count: int) -> list:
@@ -275,6 +411,14 @@ def _read_rows(path: Path, size: int, count: int) -> list:
     return rows
 
 
+def _read_slot(path: Path) -> bytes:
+    """The bytes of a snapshot slot; empty if the file is missing."""
+    try:
+        return path.read_bytes()
+    except FileNotFoundError:
+        return b""
+
+
 def _unusable(counter: str, path: Path, reason: str) -> CheckpointError:
     stats_registry().counter_add(f"resilient.checkpoint.{counter}")
     return CheckpointError(f"checkpoint {path} is unusable: {reason}")
@@ -282,32 +426,48 @@ def _unusable(counter: str, path: Path, reason: str) -> CheckpointError:
 
 def _read_checkpoint(
     path: Union[str, Path], key: Optional[str] = None
-) -> Optional[Dict[str, Any]]:
-    """The full checkpoint record at *path*, or ``None`` if there is none.
+) -> Optional[Tuple[Dict[str, Any], Tuple[int, int]]]:
+    """The newest whole checkpoint record at *path* and its ``(sequence, slot)``.
 
-    The record's payload carries the journalled rows under
-    ``"history"`` when the snapshot was saved with a history, and an
-    :class:`UnboundCluster` wherever the saved payload referred to its
-    run's cluster.
-    A file that exists but cannot be resumed — a torn or corrupt
-    snapshot or journal, a schema-tag mismatch, or (when *key* is
-    given) a key mismatch — raises :class:`CheckpointError` naming the
-    reason.
+    ``None`` if there is none.  The record's payload carries the
+    journalled rows under ``"history"`` when the snapshot was saved with
+    a history, and an :class:`UnboundCluster` wherever the saved payload
+    referred to its run's cluster.  Empty slots, and a lone slot torn in
+    its run's first save, are no checkpoint.  A checkpoint that exists
+    but cannot be resumed — no whole snapshot, a corrupt journal, a
+    schema-tag mismatch, or (when *key* is given) a key mismatch —
+    raises :class:`CheckpointError` naming the reason.
     """
     path = Path(path)
     try:
-        with open(path, "rb") as handle:
-            record = pickle.load(handle)
-    except FileNotFoundError:
+        slots = [_read_slot(slot) for slot in snapshot_slots(path)]
+    except OSError as exc:
+        raise _unusable("corrupt", path, f"unreadable snapshot ({exc})") from exc
+    records = []
+    for index, data in enumerate(slots):
+        try:
+            sequence, body = _decode(data)
+        except ValueError:
+            continue
+        records.append(((sequence, index), body))
+    if records:
+        newest, body = max(records, key=lambda record: record[0])
+    elif slots[0] and not slots[0].startswith(_MAGIC):
+        newest, body = (0, 0), slots[0]  # a ckpt-v2 snapshot
+    elif not (slots[0] and slots[1]):
         return None
+    else:
+        raise _unusable("corrupt", path, "neither snapshot slot holds a whole record")
+    try:
+        record = pickle.loads(body)
     except _UNPICKLE_ERRORS as exc:
         raise _unusable("corrupt", path, f"unreadable snapshot ({exc})") from exc
     schema = record.get("schema") if isinstance(record, dict) else None
-    if schema != CHECKPOINT_SCHEMA:
+    if schema not in (CHECKPOINT_SCHEMA, _V2_SCHEMA):
         raise _unusable(
             "schema_mismatch",
             path,
-            f"schema {schema!r}, this version reads {CHECKPOINT_SCHEMA!r}",
+            f"schema {schema!r}, this version reads {CHECKPOINT_SCHEMA!r} and {_V2_SCHEMA!r}",
         )
     if key is not None and record.get("key") != key:
         raise _unusable(
@@ -321,7 +481,7 @@ def _read_checkpoint(
             raise _unusable("corrupt", path, f"bad history journal ({exc})") from exc
         record["payload"]["history"] = rows
     stats_registry().counter_add("resilient.checkpoint.loads")
-    return record
+    return record, newest
 
 
 def load_checkpoint(
@@ -335,10 +495,10 @@ def load_checkpoint(
     rather than crashing or, worse, resuming the wrong run.
     """
     try:
-        record = _read_checkpoint(path, key)
+        found = _read_checkpoint(path, key)
     except CheckpointError:
         return None
-    return None if record is None else record["payload"]
+    return None if found is None else found[0]["payload"]
 
 
 @dataclass
@@ -359,6 +519,10 @@ class Checkpointer:
         Crash drill: raise :class:`SimulationKilled` once this many
         slots completed (after saving a final snapshot first, so the
         killed run is always resumable).
+
+    The first save opens the checkpoint's files and later saves reuse
+    them; :meth:`close`, :meth:`clear` and :meth:`load_strict` close
+    them.
     """
 
     key: str
@@ -370,8 +534,14 @@ class Checkpointer:
     _journal: Tuple[int, int] = field(
         default=(0, 0), init=False, repr=False, compare=False
     )
-    #: The directory this checkpointer last made sure exists.
-    _made_directory: Optional[Path] = field(default=None, init=False, repr=False, compare=False)
+    #: ``(sequence, slot)`` of the newest snapshot this checkpointer
+    #: wrote or loaded while its files are closed; ``None``: the next
+    #: save starts a fresh checkpoint.
+    _newest: Optional[Tuple[int, int]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    #: The files the last save opened, until they are closed.
+    _files: Optional[_OpenFiles] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.key:
@@ -383,6 +553,7 @@ class Checkpointer:
 
     @property
     def path(self) -> Path:
+        """The checkpoint's first snapshot slot, which every save leaves in place."""
         return checkpoint_path(self.key, self.directory)
 
     # ------------------------------------------------------------------
@@ -396,33 +567,34 @@ class Checkpointer:
         return self.kill_at is not None and completed_slots >= self.kill_at
 
     def save(self, payload: Dict[str, Any]) -> Path:
-        """Journal the new history rows, then replace the snapshot.
+        """Journal the new history rows, then rewrite the older snapshot slot.
 
-        Returns the snapshot path.  A payload without ``"history"`` is
-        written as a snapshot alone.  The payload's ``"cluster"`` (the
-        run's static input) is not written; references to it are
-        written as a token.
+        Returns the path of the slot written.  A payload without
+        ``"history"`` is written as a snapshot alone.  The payload's
+        ``"cluster"`` (the run's static input) is not written;
+        references to it are written as a token.  A failed save closes
+        the files, so the next one starts from what is on disk.
         """
-        path = self.path
-        if path.parent != self._made_directory:
-            try:
-                path.parent.mkdir(parents=True, exist_ok=True)
-            except OSError as exc:
-                raise CheckpointError(f"could not create {path.parent}: {exc}") from exc
-            self._made_directory = path.parent
+        if self._files is None:
+            self._files = _OpenFiles(self.path, self._newest)
+        files = self._files
         history = payload.get("history")
-        if history is None:
-            return _write_snapshot(path, self.key, payload, None, 0)
-        rows, offset = self._journal
-        if len(history) < rows:
-            # A shorter history is a different run: start the journal over.
-            rows, offset = 0, 0
-        if len(history) > rows:
-            offset = _append_rows(journal_path(path), history[rows:], offset)
-        snapshot = {name: value for name, value in payload.items() if name != "history"}
-        _write_snapshot(path, self.key, snapshot, len(history), offset)
+        try:
+            if history is None:
+                return files.save(self.key, payload, None, 0)
+            rows, offset = self._journal
+            if len(history) < rows:
+                # A shorter history is a different run: start the journal over.
+                rows, offset = 0, 0
+            if len(history) > rows:
+                offset = files.append(history[rows:], offset)
+            snapshot = {name: value for name, value in payload.items() if name != "history"}
+            written = files.save(self.key, snapshot, len(history), offset)
+        except CheckpointError:
+            self.close()
+            raise
         self._journal = (len(history), offset)
-        return path
+        return written
 
     def load(self) -> Optional[Dict[str, Any]]:
         """The saved payload; ``None`` if absent, stale or unreadable.
@@ -438,20 +610,38 @@ class Checkpointer:
             return None
 
     def load_strict(self) -> Optional[Dict[str, Any]]:
-        """Like :meth:`load`, but an unusable file raises :class:`CheckpointError`."""
-        self._journal = (0, 0)
-        record = _read_checkpoint(self.path, key=self.key)
-        if record is None:
+        """Like :meth:`load`, but an unusable file raises :class:`CheckpointError`.
+
+        The next save goes to the other slot than the loaded snapshot's,
+        under the next sequence number, and appends to the journal at
+        the loaded snapshot's offset.
+        """
+        self.close()
+        self._journal, self._newest = (0, 0), None
+        found = _read_checkpoint(self.path, key=self.key)
+        if found is None:
             return None
+        record, self._newest = found
         if record["history_len"] is not None:
             self._journal = (record["history_len"], record["journal_bytes"])
         return record["payload"]
 
+    def close(self) -> None:
+        """Close the files saves keep open; the next save reopens them."""
+        if self._files is not None:
+            self._newest = self._files.newest
+            self._files.close()
+            self._files = None
+
     def clear(self) -> None:
-        """Remove the snapshot and its journal (after a successful run)."""
-        self._journal = (0, 0)
-        for path in (self.path, journal_path(self.path)):
+        """Remove every file of the checkpoint (after a successful run)."""
+        self.close()
+        self._journal, self._newest = (0, 0), None
+        path = self.path
+        # A ckpt-v2 writer killed mid-save left its temp file behind.
+        temps = path.parent.glob(f"{glob.escape(path.stem)}.tmp.*")
+        for stale in (*snapshot_slots(path), journal_path(path), *temps):
             try:
-                path.unlink()
+                stale.unlink()
             except OSError:
                 pass

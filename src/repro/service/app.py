@@ -12,7 +12,7 @@ method    path                       purpose
 POST      ``/v1/jobs``               submit jobs (202; 429 on backpressure or
                                      rate limit, with ``Retry-After``)
 POST      ``/v1/admin/tick``         advance N slots (manual-tick mode)
-POST      ``/v1/admin/checkpoint``   force a ckpt-v2 checkpoint now
+POST      ``/v1/admin/checkpoint``   force a ckpt-v3 checkpoint now
 POST      ``/v1/admin/shutdown``     checkpoint, stop ticking, exit cleanly
 GET       ``/v1/health``             liveness + slot/backlog gauges
 GET       ``/v1/config``             the instance's full configuration
@@ -87,7 +87,7 @@ class SchedulerService:
     config:
         The frozen :class:`ServiceConfig`.
     resume:
-        When True, adopt the newest ckpt-v2 checkpoint for this config
+        When True, adopt the newest ckpt-v3 checkpoint for this config
         digest (if any) and re-stage every write-ahead-log submission
         newer than it; acknowledged work is never lost.  A checkpoint
         file that exists but cannot be used (older schema, corrupt,
@@ -309,6 +309,7 @@ class SchedulerService:
             # Final WAL close under the lock: ticking has stopped and no
             # further submit can be acknowledged past this point.
             self.log.close()  # staticcheck: ignore[GF012] -- shutdown-only close after ticking stopped; nothing can contend
+            self.checkpointer.close()  # staticcheck: ignore[GF012] -- closes the final save's files; ticking has stopped, nothing can contend
         stats_registry().counter_add("service.shutdowns")
 
 

@@ -3,7 +3,7 @@
 :class:`ServiceConfig` is the frozen identity of one service instance —
 which environment trace it schedules against, which scheduler it runs,
 how intake is bounded.  Its digest keys the data directory, the
-write-ahead log and the ckpt-v2 checkpoint, so a restarted gateway can
+write-ahead log and the ckpt-v3 checkpoint, so a restarted gateway can
 only ever resume *its own* state.
 
 :class:`ServiceState` owns everything the ticker mutates: a
@@ -252,7 +252,7 @@ class ServiceState:
         }
 
     # ------------------------------------------------------------------
-    # Checkpoint integration (ckpt-v2)
+    # Checkpoint integration (ckpt-v3)
     # ------------------------------------------------------------------
     def checkpoint_payload(self, extra: Dict[str, Any]) -> Dict[str, Any]:
         """The resumable snapshot (service additions + sim state).

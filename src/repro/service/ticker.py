@@ -8,7 +8,7 @@ bit-identical to an offline replay of its accepted-arrival log.
 
 :class:`SlotTicker` wraps that step with scheduling (manual ticks
 for tests and CI, a wall-clock thread for real serving), the shared
-service lock, and the ckpt-v2 checkpoint cadence.  Blocking waits live
+service lock, and the ckpt-v3 checkpoint cadence.  Blocking waits live
 only in the pacing loop, never in the tick path (staticcheck GF009
 enforces this).
 """
@@ -62,7 +62,7 @@ class SlotTicker:
     limiter:
         The rate limiter, snapshotted into every checkpoint.
     checkpointer:
-        ckpt-v2 schedule from ``ServiceConfig.checkpointer()``; a save
+        ckpt-v3 schedule from ``ServiceConfig.checkpointer()``; a save
         lands after every ``every`` completed slots.
     lock:
         The service-wide lock shared with the query endpoints, so
@@ -111,7 +111,7 @@ class SlotTicker:
         return records
 
     def save_checkpoint(self) -> None:
-        """Write one consistent ckpt-v2 checkpoint (state + ingestion).
+        """Write one consistent ckpt-v3 checkpoint (state + ingestion).
 
         The slots completed since the last save are appended to the
         history journal; the snapshot itself has a fixed size.
@@ -128,7 +128,7 @@ class SlotTicker:
             )
             # A consistent checkpoint needs model + ingestion frozen
             # under the service lock while the journal append and the
-            # atomic snapshot write land.
+            # snapshot slot write land.
             self.checkpointer.save(payload)  # staticcheck: ignore[GF012] -- checkpoint atomicity requires the write under the service lock; cadence-bounded
 
     # ------------------------------------------------------------------

@@ -268,8 +268,9 @@ class Simulator:
         With a :class:`~repro.resilient.checkpoint.Checkpointer` the
         run state is checkpointed after every ``checkpointer.every``
         completed slots — the new metrics rows appended to the history
-        journal, the fixed-size rest snapshotted atomically — and both
-        files are removed again when the run finishes.  With
+        journal, the fixed-size rest written into the older of two
+        snapshot slots — and the files are removed again when the run
+        finishes.  With
         ``resume=True`` and a usable snapshot on disk, the run restores
         every stateful object — queues, metrics, scheduler (including
         RNG state), admission policy, fault injector — and continues
@@ -308,6 +309,7 @@ class Simulator:
             if kill or checkpointer.due(t + 1):
                 checkpointer.save(self.snapshot())
             if kill:
+                checkpointer.close()
                 raise SimulationKilled(t + 1, checkpointer.path)
 
         if checkpointer is not None:

@@ -39,6 +39,7 @@ from repro.scenarios import small_scenario
 from repro.service.app import SchedulerService
 from repro.service.state import ServiceConfig
 from repro.simulation.simulator import Simulator
+from tests.checkpoint_slots import snapshot_pickle
 
 KILL_AT = 30
 
@@ -203,7 +204,7 @@ def test_loaded_snapshot_binds_the_cluster_on_restore(tmp_path):
     assert restored.scheduler.cluster is scenario.cluster
     assert restored.injector.cluster is scenario.cluster
     # Read as a plain pickle, the token loads as the same stand-in.
-    record = pickle.loads(checkpointer.path.read_bytes())
+    record = pickle.loads(snapshot_pickle(checkpointer.path))
     assert isinstance(record["payload"]["queues"].cluster, UnboundCluster)
 
 
@@ -248,7 +249,7 @@ def test_service_checkpoint_holds_run_state_only(tmp_path):
     service = SchedulerService(config)
     _tick_with_trace_arrivals(service, 20)
     path = service.checkpointer.path
-    _assert_lean(path.read_bytes(), journal_path(path).read_bytes())
+    _assert_lean(snapshot_pickle(path), journal_path(path).read_bytes())
     service.shutdown()
 
 
@@ -259,7 +260,7 @@ def test_batch_checkpoint_holds_run_state_only(tmp_path):
     with pytest.raises(SimulationKilled):
         sim.run(checkpointer=checkpointer)
     path = checkpointer.path
-    _assert_lean(path.read_bytes(), journal_path(path).read_bytes())
+    _assert_lean(snapshot_pickle(path), journal_path(path).read_bytes())
 
 
 def test_faulted_batch_checkpoint_holds_run_state_only(tmp_path):
@@ -278,4 +279,4 @@ def test_faulted_batch_checkpoint_holds_run_state_only(tmp_path):
     injector = checkpointer.load()["injector"]
     assert injector.eviction_log and injector._pending
     path = checkpointer.path
-    _assert_lean(path.read_bytes(), journal_path(path).read_bytes())
+    _assert_lean(snapshot_pickle(path), journal_path(path).read_bytes())

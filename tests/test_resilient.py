@@ -10,8 +10,9 @@ Four surfaces, one promise each:
   policies, with every repair counted;
 * **checkpoint** — snapshots are atomic and schema-versioned, the
   history journal is appended once per save and survives a kill
-  between append and snapshot, and a kill-and-resume run is
-  bit-identical to an uninterrupted one;
+  between append and snapshot, a torn snapshot slot falls back to the
+  other, saves after the first open and rename nothing, and a
+  kill-and-resume run is bit-identical to an uninterrupted one;
 * **chaos** — with the primary backend failing on a large fraction of
   slots the simulator still completes with a feasible action every slot.
 """
@@ -46,12 +47,20 @@ from repro.resilient import (
     solve_service,
     solve_zero,
 )
-from repro.resilient.checkpoint import CHECKPOINT_SCHEMA
+from repro.resilient.checkpoint import CHECKPOINT_SCHEMA, snapshot_slots
 from repro.scenarios import paper_scenario, small_cluster, small_scenario
 from repro.schedulers import AlwaysScheduler
 from repro.core.grefar import GreFarScheduler
 from repro.simulation.metrics import MetricsCollector
 from repro.simulation.simulator import Simulator
+from tests.checkpoint_slots import (
+    HEADER,
+    TEARS,
+    newest_slot,
+    older_slot,
+    slot_payload,
+    slot_record,
+)
 
 try:
     from hypothesis import given, settings
@@ -642,11 +651,11 @@ def test_checkpoint_missing_corrupt_and_mismatched(tmp_path):
 
 
 def test_checkpoint_write_is_atomic(tmp_path):
-    # A successful save leaves exactly the checkpoint file, no temp junk.
+    # A successful save leaves exactly the two snapshot slots, no temp junk.
     ckpt = Checkpointer(key="atomic", directory=tmp_path)
     ckpt.save({"n": 1})
     ckpt.save({"n": 2})
-    assert [p.name for p in tmp_path.iterdir()] == ["atomic.ckpt"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["atomic.ckpt", "atomic.ckpt.1"]
     assert ckpt.load() == {"n": 2}
 
 
@@ -670,7 +679,7 @@ def test_checkpointer_validation(tmp_path):
 def test_checkpoint_schema_constant_is_stable():
     # Resume compatibility hinges on this tag; changing it must be a
     # deliberate, test-visible act.
-    assert CHECKPOINT_SCHEMA == "ckpt-v2"
+    assert CHECKPOINT_SCHEMA == "ckpt-v3"
 
 
 # ----------------------------------------------------------------------
@@ -772,24 +781,24 @@ def test_history_is_journalled_once_and_loaded_as_rows(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def _fail_nth_replace(monkeypatch, n):
-    """Make the *n*-th ``os.replace`` in resilient.checkpoint raise once.
+def _fail_nth_snapshot_write(monkeypatch, n):
+    """Make the *n*-th snapshot slot write in resilient.checkpoint raise once.
 
     That is a kill after the journal append, before the snapshot
-    replace: the journal holds rows no snapshot claims.
+    write: the journal holds rows no snapshot claims.
     """
     from repro.resilient import checkpoint as module
 
-    real = module.os.replace
+    real = module._OpenFiles.write_snapshot
     calls = []
 
-    def replace(src, dst):
-        calls.append(dst)
+    def write_snapshot(self, index, frame):
+        calls.append(index)
         if len(calls) == n:
-            raise OSError("killed between journal append and snapshot replace")
-        return real(src, dst)
+            raise OSError("killed between journal append and snapshot write")
+        return real(self, index, frame)
 
-    monkeypatch.setattr(module.os, "replace", replace)
+    monkeypatch.setattr(module._OpenFiles, "write_snapshot", write_snapshot)
 
 
 def _assert_same_metrics(live, reference):
@@ -814,7 +823,7 @@ def test_crash_between_journal_append_and_snapshot_replace(tmp_path, monkeypatch
         )
 
     baseline = run()
-    _fail_nth_replace(monkeypatch, 4)  # the save after slot 20
+    _fail_nth_snapshot_write(monkeypatch, 4)  # the save after slot 20
     with pytest.raises(CheckpointError):
         run(checkpointer=Checkpointer(key="torn", every=5, directory=tmp_path))
     monkeypatch.undo()
@@ -845,3 +854,175 @@ def test_short_journal_is_corrupt(tmp_path):
     assert stats.counter("resilient.checkpoint.corrupt") == before + 1
     with pytest.raises(CheckpointError, match="history journal"):
         ckpt.load_strict()
+
+
+# ----------------------------------------------------------------------
+# Two snapshot slots (ckpt-v3)
+# ----------------------------------------------------------------------
+def _random_routing_run(checkpointer=None, resume=False):
+    from repro.schedulers import RandomRoutingScheduler
+
+    scenario = small_scenario(horizon=50, seed=6)
+    scheduler = RandomRoutingScheduler(scenario.cluster, seed=17)
+    return Simulator(scenario, scheduler).run(checkpointer=checkpointer, resume=resume)
+
+
+@pytest.mark.parametrize("tear", TEARS, ids=lambda tear: tear.__name__)
+def test_torn_newer_slot_falls_back_to_the_older(tmp_path, tear):
+    baseline = _random_routing_run()
+    with pytest.raises(SimulationKilled):
+        _random_routing_run(Checkpointer(key="tear", every=10, kill_at=30, directory=tmp_path))
+    ckpt = Checkpointer(key="tear", every=5, kill_at=25, directory=tmp_path)
+    journal = journal_path(ckpt.path)
+    full = journal.stat().st_size
+    newer, older = newest_slot(ckpt.path), older_slot(ckpt.path)
+    claimed = slot_record(older)["journal_bytes"]
+    assert slot_record(newer)["payload"]["next_slot"] == 30
+    assert claimed < full
+    tear(newer)
+
+    # The older slot loads; the journal rows past its offset are ignored.
+    payload = ckpt.load()
+    assert payload["next_slot"] == 20 and len(payload["history"]) == 20
+    assert journal.stat().st_size == full
+
+    # The next save rewrites the torn slot and cuts the unclaimed tail.
+    with pytest.raises(SimulationKilled):
+        _random_routing_run(ckpt, resume=True)
+    assert newest_slot(ckpt.path) == newer
+    assert slot_record(newer)["payload"]["next_slot"] == 25
+    assert slot_record(older)["payload"]["next_slot"] == 20
+    assert claimed < journal.stat().st_size == slot_record(newer)["journal_bytes"] < full
+
+    resumed = _random_routing_run(Checkpointer(key="tear", directory=tmp_path), resume=True)
+    assert resumed.summary.as_dict() == baseline.summary.as_dict()
+    _assert_same_metrics(resumed.metrics, baseline.metrics)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("tear", TEARS, ids=lambda tear: tear.__name__)
+def test_fresh_run_never_resumes_an_older_runs_slot(tmp_path, tear):
+    baseline = _random_routing_run()
+    with pytest.raises(SimulationKilled):
+        _random_routing_run(Checkpointer(key="stale", every=10, kill_at=40, directory=tmp_path))
+    fresh = Checkpointer(key="stale", every=10, kill_at=10, directory=tmp_path)
+    with pytest.raises(SimulationKilled):
+        _random_routing_run(fresh)
+    assert fresh.load()["next_slot"] == 10
+    # With the fresh run's only snapshot torn, the older run's slots
+    # are gone too: there is nothing to resume.
+    tear(fresh.path)
+    assert fresh.load() is None
+    resumed = _random_routing_run(Checkpointer(key="stale", directory=tmp_path), resume=True)
+    assert resumed.summary.as_dict() == baseline.summary.as_dict()
+    _assert_same_metrics(resumed.metrics, baseline.metrics)
+
+
+def test_saves_after_the_first_open_and_rename_nothing(tmp_path, monkeypatch):
+    import builtins
+    import io
+    import os
+
+    calls = []
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return call
+
+    patched = ((builtins, "open"), (io, "open"), (os, "open"), (os, "replace"), (os, "rename"))
+    for owner, name in patched:
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    ckpt = Checkpointer(key="guard", directory=tmp_path)
+    series = []
+    for n in range(20):
+        series.append(float(n))
+        ckpt.save(_history_payload([series], n=n))
+        if n == 0:
+            first = list(calls)
+            calls.clear()
+    monkeypatch.undo()
+    assert "replace" not in first and "rename" not in first
+    assert calls == []
+    assert ckpt.load() == {"n": 19, "history": [(float(n),) for n in range(20)]}
+
+
+def _open_descriptors() -> int:
+    from pathlib import Path
+
+    fds = Path("/proc/self/fd")
+    if not fds.is_dir():
+        pytest.skip("needs /proc/self/fd")
+    return len(list(fds.iterdir()))
+
+
+def test_clear_load_close_and_drop_leave_no_descriptor_open(tmp_path):
+    before = _open_descriptors()
+    ckpt = Checkpointer(key="fds", directory=tmp_path)
+    ckpt.save(_history_payload([[1.0]]))
+    assert _open_descriptors() == before + 3  # two slots and the journal
+    ckpt.load_strict()
+    assert _open_descriptors() == before
+    ckpt.save(_history_payload([[1.0, 2.0]]))
+    ckpt.clear()
+    assert _open_descriptors() == before
+    ckpt.save(_history_payload([[1.0]]))
+    ckpt.close()
+    assert _open_descriptors() == before
+    ckpt.save(_history_payload([[1.0, 2.0]]))
+    del ckpt
+    assert _open_descriptors() == before
+
+
+def test_clear_removes_every_file_of_its_key_only(tmp_path):
+    ckpt = Checkpointer(key="v2tmp", directory=tmp_path)
+    ckpt.save(_history_payload([[1.0]]))
+    # A ckpt-v2 writer killed mid-save left its temp file behind.
+    (tmp_path / "v2tmp.tmp.4242").write_bytes(b"half a pickle")
+    (tmp_path / "other.ckpt").write_bytes(b"another run")
+    ckpt.clear()
+    assert [p.name for p in tmp_path.iterdir()] == ["other.ckpt"]
+
+
+def test_a_shorter_record_truncates_its_slot(tmp_path):
+    ckpt = Checkpointer(key="shrink", directory=tmp_path)
+    ckpt.save({"blob": "x" * 1000})
+    ckpt.save({"blob": "x" * 1000})
+    slot = ckpt.save({"blob": ""})
+    assert slot == ckpt.path
+    assert slot.stat().st_size == HEADER.size + len(slot_payload(slot)[1])
+    assert ckpt.load() == {"blob": ""}
+
+
+def test_saves_after_a_ckpt_v2_load_keep_it_until_the_second(tmp_path):
+    import pickle
+
+    path = checkpoint_path("v2", tmp_path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    record = {"schema": "ckpt-v2", "key": "v2", "payload": {"n": 0}, "history_len": None}
+    legacy = pickle.dumps({**record, "journal_bytes": 0})
+    path.write_bytes(legacy)
+    ckpt = Checkpointer(key="v2", directory=tmp_path)
+    assert ckpt.load() == {"n": 0}
+    assert ckpt.save({"n": 1}) == snapshot_slots(path)[1]
+    assert path.read_bytes() == legacy
+    assert ckpt.save({"n": 2}) == path
+    assert ckpt.load() == {"n": 2}
+    assert slot_payload(path)[0] == 2
+
+
+def test_a_failed_snapshot_write_keeps_the_newest_slot(tmp_path, monkeypatch):
+    ckpt = Checkpointer(key="failed", directory=tmp_path)
+    ckpt.save({"n": 1})
+    ckpt.save({"n": 2})
+    _fail_nth_snapshot_write(monkeypatch, 1)
+    with pytest.raises(CheckpointError, match="killed between"):
+        ckpt.save({"n": 3})
+    monkeypatch.undo()
+    assert Checkpointer(key="failed", directory=tmp_path).load() == {"n": 2}
+    # The same checkpointer saves on past the failure, into the other slot.
+    ckpt.save({"n": 3})
+    assert slot_record(newest_slot(ckpt.path))["payload"] == {"n": 3}
+    assert slot_record(older_slot(ckpt.path))["payload"] == {"n": 2}

@@ -55,6 +55,7 @@ from repro.service import (
 )
 from repro.simulation.metrics import MetricsCollector
 from repro.simulation.simulator import Simulator
+from tests.checkpoint_slots import TEARS, newest_slot, older_slot, slot_record
 
 CLUSTER = small_scenario(horizon=4, seed=0).cluster
 # small cluster: account 0 owns type 0 (A_max = 50), account 1 owns
@@ -582,15 +583,15 @@ def test_crash_between_journal_append_and_snapshot_replace(tmp_path, monkeypatch
     config = make_config(tmp_path, checkpoint_every=1)
     victim = SchedulerService(config)
     _drive(victim, schedule[:4])
-    real_replace = module.os.replace
+    real_write = module._OpenFiles.write_snapshot
 
-    def killed(src, dst):
-        raise OSError("killed between journal append and snapshot replace")
+    def killed(self, index, frame):
+        raise OSError("killed between journal append and snapshot write")
 
-    monkeypatch.setattr(module.os, "replace", killed)
+    monkeypatch.setattr(module._OpenFiles, "write_snapshot", killed)
     with pytest.raises(CheckpointError):
         _drive(victim, schedule[4:5])
-    monkeypatch.setattr(module.os, "replace", real_replace)
+    monkeypatch.setattr(module._OpenFiles, "write_snapshot", real_write)
     victim.log.close()
     del victim
 
@@ -612,6 +613,65 @@ def test_crash_between_journal_append_and_snapshot_replace(tmp_path, monkeypatch
     restored.restore(config.checkpointer().load())
     assert restored.slot_records() == reference.state.slot_records()
     reference.shutdown()
+
+
+@pytest.mark.parametrize("tear", TEARS, ids=lambda tear: tear.__name__)
+def test_torn_newer_slot_resumes_from_the_older(tmp_path, tear):
+    """A restart whose newest snapshot slot is torn resumes from the other.
+
+    The journal rows past the older snapshot's offset are ignored, the
+    write-ahead log re-stages the submissions acknowledged after it, and
+    the next save rewrites the torn slot and cuts the stale tail.
+    """
+    schedule = REPLAY_SCHEDULE * 2
+    reference = SchedulerService(make_config(tmp_path, data_dir=str(tmp_path / "ref")))
+    _drive(reference, schedule)
+
+    config = make_config(tmp_path, checkpoint_every=2)
+    victim = SchedulerService(config)
+    _drive(victim, schedule[:6])  # saves after slots 2, 4 and 6
+    victim.log.close()
+    path = victim.checkpointer.path
+    del victim
+    newer, older = newest_slot(path), older_slot(path)
+    journal = journal_path(path)
+    full = journal.stat().st_size
+    claimed = slot_record(older)["journal_bytes"]
+    assert claimed < full
+    tear(newer)
+
+    resumed = SchedulerService(config, resume=True)
+    assert resumed.resumed_from_slot == 4
+    assert journal.stat().st_size == full
+    # Slots 4 and 5 again: every re-staged submission belongs to slot 4.
+    resumed.ticker.tick(2)
+    assert newest_slot(path) == newer
+    assert claimed < journal.stat().st_size == slot_record(newer)["journal_bytes"]
+    _drive(resumed, schedule[6:])
+    assert resumed.state.slot_records() == reference.state.slot_records()
+    for field in dataclasses.fields(MetricsCollector):
+        live = getattr(resumed.state.sim.metrics, field.name)
+        offline = getattr(reference.state.sim.metrics, field.name)
+        if isinstance(offline, list):
+            assert len(live) == len(offline) == len(schedule), field.name
+            assert all(np.array_equal(a, b) for a, b in zip(live, offline)), field.name
+        else:
+            assert live == offline, field.name
+    resumed.shutdown()
+    reference.shutdown()
+
+
+def test_shutdown_leaves_no_checkpoint_descriptor_open(tmp_path):
+    from pathlib import Path
+
+    fds = Path("/proc/self/fd")
+    if not fds.is_dir():
+        pytest.skip("needs /proc/self/fd")
+    before = len(list(fds.iterdir()))
+    service = SchedulerService(make_config(tmp_path, checkpoint_every=1))
+    _drive(service, REPLAY_SCHEDULE)
+    service.shutdown()
+    assert len(list(fds.iterdir())) == before
 
 
 def test_checkpoint_bytes_per_save_do_not_grow_with_slots(tmp_path, monkeypatch):
@@ -817,10 +877,10 @@ def test_http_failed_checkpoint_gets_a_json_500(tmp_path, monkeypatch, path):
         if path == "/v1/admin/checkpoint":
             client.tick(1)
 
-        def failing_replace(src, dst):
+        def failing_write(self, index, frame):
             raise OSError("disk full")
 
-        monkeypatch.setattr(module.os, "replace", failing_replace)
+        monkeypatch.setattr(module._OpenFiles, "write_snapshot", failing_write)
         with pytest.raises(ServiceClientError) as excinfo:
             client.post(path, {"slots": 1} if path == "/v1/admin/tick" else {})
         assert excinfo.value.status == 500
